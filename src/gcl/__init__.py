@@ -24,7 +24,6 @@ from .contrastive import LossCurve, PretrainConfig, cosine_sim, nt_xent, pretrai
 from .graphs import (
     Graph,
     GraphDataset,
-    degree,
     degrees,
     induced_subgraph,
     load_tudataset,

@@ -39,14 +39,11 @@ class AugmentationSpec:
 
     alpha > 0 biases node selection toward high-degree nodes, alpha < 0 toward
     low-degree ones, alpha = 0 is uniform. Identity ignores ratio and alpha.
-    drop_only switches EdgePerturb to removing edges without replacements.
     """
 
     kind: str
     ratio: float = DEFAULT_RATIO
     alpha: float = 0.0
-    seed: int | None = None
-    drop_only: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -114,14 +111,11 @@ def _sample_non_edges(n: int, existing: set, k: int, rng: np.random.Generator) -
     return [(int(c) // n, int(c) % n) for c in picked]
 
 
-def edge_perturb(
-    g: Graph, ratio: float, rng: np.random.Generator, drop_only: bool = False
-) -> Graph:
+def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     """Remove round(ratio*|E|) edges and add the same number of fresh non-edges.
 
     Additions exclude self-loops, duplicates, and the just-removed pairs; if
     fewer non-edges exist than removals, only the available ones are added.
-    With drop_only=True no edges are added back.
     """
     if g.num_edges == 0:
         raise AugmentationError("edge perturbation needs at least one edge")
@@ -131,13 +125,11 @@ def edge_perturb(
     removed_idx = rng.choice(g.num_edges, size=k, replace=False)
     keep_mask = np.ones(g.num_edges, dtype=bool)
     keep_mask[removed_idx] = False
-    kept = [tuple(e) for e in g.edges[keep_mask]]
-    new_edges = list(kept)
-    if not drop_only:
-        # Removed pairs stay ineligible: the non-edge set is taken relative to
-        # the original edge set.
-        original = {tuple(e) for e in g.edges}
-        new_edges.extend(_sample_non_edges(g.num_nodes, original, k, rng))
+    new_edges = [tuple(e) for e in g.edges[keep_mask]]
+    # Removed pairs stay ineligible: the non-edge set is taken relative to
+    # the original edge set.
+    original = {tuple(e) for e in g.edges}
+    new_edges.extend(_sample_non_edges(g.num_nodes, original, k, rng))
     arr = np.asarray(sorted(new_edges), dtype=np.int64).reshape(len(new_edges), 2)
     return Graph(g.num_nodes, arr, g.node_features, g.label)
 
@@ -160,13 +152,12 @@ def subgraph_rw(
     g: Graph,
     ratio: float,
     rng: np.random.Generator,
-    restart_prob: float = RESTART_PROB,
     max_steps: int | None = None,
 ) -> Graph:
     """Induced subgraph on the visited set of a random walk with restarts.
 
     The walk starts at a uniform seed node and at each step either restarts to
-    the seed (probability `restart_prob`, forced at dead ends) or moves to a
+    the seed (probability RESTART_PROB, forced at dead ends) or moves to a
     uniform neighbor. It stops once max(1, round((1-ratio)*n)) distinct nodes
     are visited or the step budget (default 10*n) runs out, in which case the
     partial visited set is used.
@@ -183,7 +174,7 @@ def subgraph_rw(
     while len(visited) < target and steps < budget:
         steps += 1
         neighbors = adj[current]
-        if neighbors.size == 0 or rng.random() < restart_prob:
+        if neighbors.size == 0 or rng.random() < RESTART_PROB:
             current = seed_node
         else:
             current = int(neighbors[rng.integers(neighbors.size)])
@@ -191,18 +182,14 @@ def subgraph_rw(
     return induced_subgraph(g, visited)
 
 
-def apply_augmentation(
-    spec: AugmentationSpec, g: Graph, rng: np.random.Generator | None = None
-) -> Graph:
-    """Apply one augmentation spec; with rng=None the spec's own seed drives it."""
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
+def apply_augmentation(spec: AugmentationSpec, g: Graph, rng: np.random.Generator) -> Graph:
+    """Apply one augmentation spec, drawing its randomness from `rng`."""
     if spec.kind == "Identity":
         return g
     if spec.kind == "NodeDrop":
         return node_drop(g, spec.ratio, spec.alpha, rng)
     if spec.kind == "EdgePerturb":
-        return edge_perturb(g, spec.ratio, rng, drop_only=spec.drop_only)
+        return edge_perturb(g, spec.ratio, rng)
     if spec.kind == "AttrMask":
         return attr_mask(g, spec.ratio, spec.alpha, rng)
     return subgraph_rw(g, spec.ratio, rng)

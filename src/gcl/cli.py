@@ -16,11 +16,12 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config, parse_config, resolve_pool
+from .config import ConfigError, RunConfig, default_config, parse_config
 from .contrastive import pretrain
 from .gradcheck import run_gradient_checks
 from .graphs import load_tudataset
@@ -38,19 +39,6 @@ from .pipelines import (
 )
 
 log = logging.getLogger(__name__)
-
-COMMANDS = (
-    "pretrain",
-    "finetune",
-    "scratch",
-    "embed",
-    "probe",
-    "aug-grid",
-    "strength-sweep",
-    "pattern-sweep",
-    "loss-compare",
-    "grad-check",
-)
 
 OUTPUT_ENV_VAR = "GCL_OUTPUT"
 
@@ -253,29 +241,22 @@ def _sweep_json(points, value_name):
     ]
 
 
-def _cmd_strength_sweep(cfg, dataset, outdir, runlog, checkpoint):
+def _cmd_sweep(protocol, cfg, dataset, outdir, runlog, checkpoint):
+    """strength_sweep over [sweep] ratios or pattern_sweep over [sweep] alphas."""
     base = _experiment_base(cfg, dataset.category)
     seeds = cfg.sweep_seeds or [cfg.seed]
-    points = strength_sweep(dataset, cfg.sweep_kind, cfg.sweep_ratios, base, seeds=seeds)
-    _write_lines(os.path.join(outdir, "sweep.csv"), _sweep_lines(points, "ratio"))
+    if protocol == "strength_sweep":
+        value_name = "ratio"
+        points = strength_sweep(dataset, cfg.sweep_kind, cfg.sweep_ratios, base, seeds=seeds)
+    else:
+        if cfg.sweep_kind not in ("NodeDrop", "AttrMask"):
+            raise ConfigError("[sweep] kind must be NodeDrop or AttrMask for pattern sweeps")
+        value_name = "alpha"
+        points = pattern_sweep(dataset, cfg.sweep_kind, cfg.sweep_alphas, base, ratio=cfg.sweep_ratio, seeds=seeds)
+    _write_lines(os.path.join(outdir, "sweep.csv"), _sweep_lines(points, value_name))
     _write_json(
         os.path.join(outdir, "metrics.json"),
-        {"protocol": "strength_sweep", "kind": cfg.sweep_kind, "points": _sweep_json(points, "ratio")},
-    )
-    runlog.event("sweep_done", points=len(points))
-    return 0
-
-
-def _cmd_pattern_sweep(cfg, dataset, outdir, runlog, checkpoint):
-    if cfg.sweep_kind not in ("NodeDrop", "AttrMask"):
-        raise ConfigError("[sweep] kind must be NodeDrop or AttrMask for pattern sweeps")
-    base = _experiment_base(cfg, dataset.category)
-    seeds = cfg.sweep_seeds or [cfg.seed]
-    points = pattern_sweep(dataset, cfg.sweep_kind, cfg.sweep_alphas, base, ratio=cfg.sweep_ratio, seeds=seeds)
-    _write_lines(os.path.join(outdir, "sweep.csv"), _sweep_lines(points, "alpha"))
-    _write_json(
-        os.path.join(outdir, "metrics.json"),
-        {"protocol": "pattern_sweep", "kind": cfg.sweep_kind, "points": _sweep_json(points, "alpha")},
+        {"protocol": protocol, "kind": cfg.sweep_kind, "points": _sweep_json(points, value_name)},
     )
     runlog.event("sweep_done", points=len(points))
     return 0
@@ -327,10 +308,11 @@ _DATA_COMMANDS = {
     "embed": _cmd_embed,
     "probe": _cmd_probe,
     "aug-grid": _cmd_aug_grid,
-    "strength-sweep": _cmd_strength_sweep,
-    "pattern-sweep": _cmd_pattern_sweep,
+    "strength-sweep": partial(_cmd_sweep, "strength_sweep"),
+    "pattern-sweep": partial(_cmd_sweep, "pattern_sweep"),
     "loss-compare": _cmd_loss_compare,
 }
+COMMANDS = (*_DATA_COMMANDS, "grad-check")
 
 
 def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int:
@@ -348,9 +330,6 @@ def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int
         code = _cmd_grad_check(cfg, outdir, runlog)
     else:
         dataset = _load_dataset(cfg)
-        # Fail fast on unresolvable pools before any training starts.
-        resolve_pool(cfg.pool_i, dataset.category)
-        resolve_pool(cfg.pool_j, dataset.category)
         code = _DATA_COMMANDS[command](cfg, dataset, outdir, runlog, checkpoint)
     runlog.event("done", exit_status=code, wall_clock=time.perf_counter() - start)
     return code
@@ -389,14 +368,10 @@ def main(argv=None) -> int:
             cfg.output = args.output
         elif os.environ.get(OUTPUT_ENV_VAR):
             cfg.output = os.environ[OUTPUT_ENV_VAR]
-        if args.workers:
+        if args.workers is not None:
             if args.workers < 1:
-                raise ConfigError("--workers must be >= 1")
+                raise ConfigError(f"--workers must be >= 1, got {args.workers}")
             cfg.workers = args.workers
-    except (ConfigError, FileNotFoundError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    try:
         return dispatch(args.command, cfg, checkpoint=args.checkpoint)
     except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)

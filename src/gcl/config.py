@@ -1,17 +1,23 @@
 """Run-config parsing: INI-style sections with strict unknown-key rejection
 and range validation, so hyperparameter typos fail loudly instead of running
-a silently wrong experiment."""
+a silently wrong experiment.
+
+`_TABLE` names every key once. A range rule lives in the dataclass that
+consumes the value (EncoderConfig, PretrainConfig, SplitSpec); the parsers
+here check only the values no such dataclass owns.
+"""
 
 from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from .augment import KINDS, AugmentationPool, AugmentationSpec, default_pool
-from .contrastive import LOSS_VARIANTS, PretrainConfig
+from .contrastive import PretrainConfig
 from .graphs import CATEGORIES
-from .model import ARCHS, READOUTS, EncoderConfig
+from .model import EncoderConfig
 from .pipelines import SplitSpec
 
 
@@ -19,54 +25,132 @@ class ConfigError(Exception):
     """Invalid run configuration (parse error, unknown key, range violation)."""
 
 
-# section -> {key: (type tag, default)}; None default means "required".
-_SCHEMA = {
-    "run": {"seed": ("int", 0), "output": ("str", None), "workers": ("int", 1)},
-    "dataset": {"path": ("str", None), "name": ("str", None), "category": ("str", None)},
-    "encoder": {
-        "arch": ("str", "gcn"),
-        "num_layers": ("int", 3),
-        "hidden_dim": ("int", 32),
-        "readout": ("str", "mean"),
-        "gin_eps": ("float", 0.0),
-    },
-    "pretrain": {
-        "batch_size": ("int", 128),
-        "temperature": ("float", 0.5),
-        "epochs": ("int", 20),
-        "learning_rate": ("float", 0.001),
-        "loss_variant": ("str", "exclusive"),
-        "symmetric": ("bool", False),
-        "pool_i": ("str", "default"),
-        "pool_j": ("str", "default"),
-    },
-    "split": {
-        "label_rate": ("float", 0.1),
-        "folds": ("int", 5),
-        "stratified": ("bool", True),
-    },
-    "finetune": {
-        "epochs": ("int", 30),
-        "learning_rate": ("float", 0.001),
-        "batch_size": ("int", 32),
-    },
-    "sweep": {
-        "kinds": ("str", "NodeDrop,EdgePerturb,AttrMask,Subgraph"),
-        "kind": ("str", "EdgePerturb"),
-        "ratios": ("str", "0.05,0.1,0.2,0.3"),
-        "alphas": ("str", "-2,-1,0,1,2"),
-        "pairs": ("str", "AttrMask+AttrMask,AttrMask+NodeDrop"),
-        "seeds": ("str", ""),
-        "ratio": ("float", 0.2),
-    },
-}
+# Parsers turn one raw value into a field value; a ValueError they raise
+# completes the sentence "[section] key: ...".
 
 _BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _int(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {raw!r}") from None
+
+
+def _float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
+
+
+def _bool(raw: str) -> bool:
+    if raw.strip().lower() not in _BOOL:
+        raise ValueError(f"must be a boolean, got {raw!r}")
+    return _BOOL[raw.strip().lower()]
+
+
+def _rule(parse, ok, requirement: str):
+    """A parser that reads with `parse` and then requires ok(value)."""
+
+    def parse_checked(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"must {requirement}, got {value!r}")
+        return value
+
+    return parse_checked
+
+
+_seed = _rule(_int, lambda v: v >= 0, "be >= 0")
+_positive_int = _rule(_int, lambda v: v > 0, "be positive")
+_positive_float = _rule(_float, lambda v: v > 0.0, "be positive")
+_category = _rule(str.strip, lambda v: v in CATEGORIES, f"be one of {CATEGORIES}")
+_kind = _rule(str.strip, lambda v: v in KINDS, f"be one of {KINDS}")
+_sweep_ratio = _rule(_float, lambda v: 0.0 <= v <= 0.5, "lie in [0, 0.5]")
+_aug_ratio = _rule(_float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+
+
+def _pair(raw: str) -> tuple[str, str]:
+    sides = [s.strip() for s in raw.split("+")]
+    if len(sides) != 2 or any(s not in KINDS for s in sides):
+        raise ValueError(f"bad pair {raw.strip()!r}; expected Kind+Kind")
+    return sides[0], sides[1]
+
+
+def _list(parse):
+    def parse_list(raw: str) -> list:
+        return [parse(item) for item in raw.split(",") if item.strip()]
+
+    return parse_list
+
+
+# section -> key -> (RunConfig field, parser, default text). A None default
+# leaves the field unset; unset fields are left out of the config echo.
+_TABLE = {
+    "run": {
+        "seed": ("seed", _seed, "0"),
+        "output": ("output", str.strip, None),
+        "workers": ("workers", _positive_int, "1"),
+    },
+    "dataset": {
+        "path": ("dataset_path", str.strip, None),
+        "name": ("dataset_name", str.strip, None),
+        "category": ("category", _category, None),
+    },
+    "encoder": {
+        "arch": ("arch", str.strip, "gcn"),
+        "num_layers": ("num_layers", _int, "3"),
+        "hidden_dim": ("hidden_dim", _int, "32"),
+        "readout": ("readout", str.strip, "mean"),
+        "gin_eps": ("gin_eps", _float, "0.0"),
+    },
+    "pretrain": {
+        "batch_size": ("batch_size", _int, "128"),
+        "temperature": ("temperature", _float, "0.5"),
+        "epochs": ("pretrain_epochs", _int, "20"),
+        "learning_rate": ("pretrain_lr", _float, "0.001"),
+        "loss_variant": ("loss_variant", str.strip, "exclusive"),
+        "symmetric": ("symmetric", _bool, "false"),
+        "pool_i": ("pool_i", str.strip, "default"),
+        "pool_j": ("pool_j", str.strip, "default"),
+    },
+    "split": {
+        "label_rate": ("label_rate", _float, "0.1"),
+        "folds": ("folds", _int, "5"),
+        "stratified": ("stratified", _bool, "true"),
+    },
+    "finetune": {
+        "epochs": ("finetune_epochs", _positive_int, "30"),
+        "learning_rate": ("finetune_lr", _positive_float, "0.001"),
+        "batch_size": ("finetune_batch", _positive_int, "32"),
+    },
+    "sweep": {
+        "kinds": ("sweep_kinds", _list(_kind), "NodeDrop,EdgePerturb,AttrMask,Subgraph"),
+        "kind": ("sweep_kind", _kind, "EdgePerturb"),
+        "ratios": ("sweep_ratios", _list(_sweep_ratio), "0.05,0.1,0.2,0.3"),
+        "alphas": ("sweep_alphas", _list(_float), "-2,-1,0,1,2"),
+        "pairs": ("sweep_pairs", _list(_pair), "AttrMask+AttrMask,AttrMask+NodeDrop"),
+        "seeds": ("sweep_seeds", _list(_seed), ""),
+        "ratio": ("sweep_ratio", _aug_ratio, "0.2"),
+    },
+}
+
+
+def _text(value) -> str:
+    """A field value written back as the text its parser reads."""
+    if isinstance(value, list):
+        return ",".join("+".join(v) if isinstance(v, tuple) else str(v) for v in value)
+    return str(value)
+
+
 @dataclass
 class RunConfig:
-    """Every knob of a run, fully defaulted and validated."""
+    """Every knob of a run, one field per key of `_TABLE`."""
 
     seed: int
     output: str | None
@@ -74,7 +158,11 @@ class RunConfig:
     dataset_path: str | None
     dataset_name: str | None
     category: str | None
-    encoder: EncoderConfig
+    arch: str
+    num_layers: int
+    hidden_dim: int
+    readout: str
+    gin_eps: float
     batch_size: int
     temperature: float
     pretrain_epochs: int
@@ -89,13 +177,17 @@ class RunConfig:
     finetune_epochs: int
     finetune_lr: float
     finetune_batch: int
-    sweep_kinds: list[str] = field(default_factory=list)
-    sweep_kind: str = "EdgePerturb"
-    sweep_ratios: list[float] = field(default_factory=list)
-    sweep_alphas: list[float] = field(default_factory=list)
-    sweep_pairs: list[tuple[str, str]] = field(default_factory=list)
-    sweep_seeds: list[int] = field(default_factory=list)
-    sweep_ratio: float = 0.2
+    sweep_kinds: list[str]
+    sweep_kind: str
+    sweep_ratios: list[float]
+    sweep_alphas: list[float]
+    sweep_pairs: list[tuple[str, str]]
+    sweep_seeds: list[int]
+    sweep_ratio: float
+
+    @property
+    def encoder(self) -> EncoderConfig:
+        return EncoderConfig(self.arch, self.num_layers, self.hidden_dim, self.readout, self.gin_eps)
 
     def split(self) -> SplitSpec:
         return SplitSpec(self.label_rate, self.folds, self.stratified, self.seed)
@@ -114,56 +206,16 @@ class RunConfig:
         )
 
     def effective_ini(self) -> str:
-        """Render the fully-defaulted config back out (the reproducibility echo)."""
-        values = {
-            "run": {"seed": self.seed, "output": self.output or "", "workers": self.workers},
-            "dataset": {
-                "path": self.dataset_path or "",
-                "name": self.dataset_name or "",
-                "category": self.category or "",
-            },
-            "encoder": {
-                "arch": self.encoder.arch,
-                "num_layers": self.encoder.num_layers,
-                "hidden_dim": self.encoder.hidden_dim,
-                "readout": self.encoder.readout,
-                "gin_eps": self.encoder.gin_eps,
-            },
-            "pretrain": {
-                "batch_size": self.batch_size,
-                "temperature": self.temperature,
-                "epochs": self.pretrain_epochs,
-                "learning_rate": self.pretrain_lr,
-                "loss_variant": self.loss_variant,
-                "symmetric": self.symmetric,
-                "pool_i": self.pool_i,
-                "pool_j": self.pool_j,
-            },
-            "split": {
-                "label_rate": self.label_rate,
-                "folds": self.folds,
-                "stratified": self.stratified,
-            },
-            "finetune": {
-                "epochs": self.finetune_epochs,
-                "learning_rate": self.finetune_lr,
-                "batch_size": self.finetune_batch,
-            },
-            "sweep": {
-                "kinds": ",".join(self.sweep_kinds),
-                "kind": self.sweep_kind,
-                "ratios": ",".join(repr(r) for r in self.sweep_ratios),
-                "alphas": ",".join(repr(a) for a in self.sweep_alphas),
-                "pairs": ",".join(f"{a}+{b}" for a, b in self.sweep_pairs),
-                "seeds": ",".join(str(s) for s in self.sweep_seeds),
-                "ratio": self.sweep_ratio,
-            },
-        }
+        """Render the fully-defaulted config back out (the reproducibility echo).
+
+        Parsing the echo gives back an equal RunConfig."""
         out = io.StringIO()
-        for section in _SCHEMA:
+        for section, keys in _TABLE.items():
             out.write(f"[{section}]\n")
-            for key in _SCHEMA[section]:
-                out.write(f"{key} = {values[section][key]}\n")
+            for key, (name, _, _) in keys.items():
+                value = getattr(self, name)
+                if value is not None:
+                    out.write(f"{key} = {_text(value)}\n")
             out.write("\n")
         return out.getvalue()
 
@@ -176,18 +228,12 @@ def parse_pool_spec(text: str) -> AugmentationPool:
         if not item:
             continue
         parts = item.split(":")
-        kind = parts[0]
-        if kind not in KINDS:
-            raise ConfigError(f"unknown augmentation kind {kind!r} in pool {text!r}")
-        try:
-            ratio = float(parts[1]) if len(parts) > 1 else 0.2
-            alpha = float(parts[2]) if len(parts) > 2 else 0.0
-        except ValueError as err:
-            raise ConfigError(f"bad pool entry {item!r}: {err}") from None
         if len(parts) > 3:
             raise ConfigError(f"bad pool entry {item!r}: too many ':' fields")
         try:
-            specs.append(AugmentationSpec(kind=kind, ratio=ratio, alpha=alpha))
+            ratio = _float(parts[1]) if len(parts) > 1 else 0.2
+            alpha = _float(parts[2]) if len(parts) > 2 else 0.0
+            specs.append(AugmentationSpec(kind=parts[0], ratio=ratio, alpha=alpha))
         except ValueError as err:
             raise ConfigError(f"bad pool entry {item!r}: {err}") from None
     if not specs:
@@ -199,30 +245,6 @@ def resolve_pool(text: str, category: str) -> AugmentationPool:
     if text.strip().lower() == "default":
         return default_pool(category)
     return parse_pool_spec(text)
-
-
-def _convert(section, key, tag, raw):
-    if tag == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
-    if tag == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a number, got {raw!r}") from None
-    if tag == "bool":
-        if raw.strip().lower() not in _BOOL:
-            raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
-        return _BOOL[raw.strip().lower()]
-    return raw.strip()
-
-
-def _positive(value, section, key):
-    if value <= 0:
-        raise ConfigError(f"[{section}] {key} must be positive, got {value}")
-    return value
 
 
 def parse_config(path: str) -> RunConfig:
@@ -247,117 +269,34 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     except configparser.Error as err:
         raise ConfigError(f"config parse error: {err}") from None
 
-    values: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _TABLE:
             raise ConfigError(f"unknown config section [{section}]")
-        values[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+        for key in parser[section]:
+            if key not in _TABLE[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[section][key] = _convert(section, key, _SCHEMA[section][key][0], raw)
 
-    def get(section, key):
-        if section in values and key in values[section]:
-            return values[section][key]
-        return _SCHEMA[section][key][1]
+    values = {}
+    for section, keys in _TABLE.items():
+        for key, (name, parse, default) in keys.items():
+            raw = parser.get(section, key, fallback=default)
+            try:
+                values[name] = None if raw is None else parse(raw)
+            except ValueError as err:
+                raise ConfigError(f"[{section}] {key}: {err}") from None
+    cfg = RunConfig(**values)
 
-    seed = get("run", "seed")
-    if seed < 0:
-        raise ConfigError("[run] seed must be >= 0")
-    workers = _positive(get("run", "workers"), "run", "workers")
-
-    category = get("dataset", "category")
-    if category is not None and category not in CATEGORIES:
-        raise ConfigError(f"[dataset] category must be one of {CATEGORIES}, got {category!r}")
-
-    arch = get("encoder", "arch")
-    if arch not in ARCHS:
-        raise ConfigError(f"[encoder] arch must be one of {ARCHS}, got {arch!r}")
-    readout = get("encoder", "readout")
-    if readout not in READOUTS:
-        raise ConfigError(f"[encoder] readout must be one of {READOUTS}, got {readout!r}")
-    encoder = EncoderConfig(
-        arch=arch,
-        num_layers=_positive(get("encoder", "num_layers"), "encoder", "num_layers"),
-        hidden_dim=_positive(get("encoder", "hidden_dim"), "encoder", "hidden_dim"),
-        readout=readout,
-        gin_eps=get("encoder", "gin_eps"),
-    )
-
-    temperature = get("pretrain", "temperature")
-    if temperature <= 0.0:
-        raise ConfigError(f"[pretrain] temperature must be positive, got {temperature}")
-    batch_size = get("pretrain", "batch_size")
-    if batch_size < 2:
-        raise ConfigError("[pretrain] batch_size must be >= 2")
-    loss_variant = get("pretrain", "loss_variant")
-    if loss_variant not in LOSS_VARIANTS:
-        raise ConfigError(f"[pretrain] loss_variant must be one of {LOSS_VARIANTS}")
-    for pool_key in ("pool_i", "pool_j"):
-        text = get("pretrain", pool_key)
-        if text.strip().lower() != "default":
-            parse_pool_spec(text)  # validation only; category-independent
-
-    label_rate = get("split", "label_rate")
-    if not 0.0 < label_rate <= 1.0:
-        raise ConfigError(f"[split] label_rate must lie in (0, 1], got {label_rate}")
-    folds = get("split", "folds")
-    if folds < 2:
-        raise ConfigError("[split] folds must be >= 2")
-
-    kinds = [k.strip() for k in get("sweep", "kinds").split(",") if k.strip()]
-    for k in kinds + [get("sweep", "kind")]:
-        if k not in KINDS:
-            raise ConfigError(f"[sweep] unknown augmentation kind {k!r}")
-    try:
-        ratios = [float(r) for r in get("sweep", "ratios").split(",") if r.strip()]
-        alphas = [float(a) for a in get("sweep", "alphas").split(",") if a.strip()]
-        seeds = [int(s) for s in get("sweep", "seeds").split(",") if s.strip()]
-    except ValueError as err:
-        raise ConfigError(f"[sweep] bad numeric list: {err}") from None
-    if any(not 0.0 <= r <= 0.5 for r in ratios):
-        raise ConfigError("[sweep] ratios must lie in [0, 0.5]")
-    pairs = []
-    for item in get("sweep", "pairs").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        sides = [s.strip() for s in item.split("+")]
-        if len(sides) != 2 or any(s not in KINDS for s in sides):
-            raise ConfigError(f"[sweep] bad pair {item!r}; expected Kind+Kind")
-        pairs.append((sides[0], sides[1]))
-    sweep_ratio = get("sweep", "ratio")
-    if not 0.0 <= sweep_ratio < 1.0:
-        raise ConfigError(f"[sweep] ratio must lie in [0, 1), got {sweep_ratio}")
-
-    return RunConfig(
-        seed=seed,
-        output=get("run", "output"),
-        workers=workers,
-        dataset_path=get("dataset", "path"),
-        dataset_name=get("dataset", "name"),
-        category=category,
-        encoder=encoder,
-        batch_size=batch_size,
-        temperature=temperature,
-        pretrain_epochs=_positive(get("pretrain", "epochs"), "pretrain", "epochs"),
-        pretrain_lr=_positive(get("pretrain", "learning_rate"), "pretrain", "learning_rate"),
-        loss_variant=loss_variant,
-        symmetric=get("pretrain", "symmetric"),
-        pool_i=get("pretrain", "pool_i"),
-        pool_j=get("pretrain", "pool_j"),
-        label_rate=label_rate,
-        folds=folds,
-        stratified=get("split", "stratified"),
-        finetune_epochs=_positive(get("finetune", "epochs"), "finetune", "epochs"),
-        finetune_lr=_positive(get("finetune", "learning_rate"), "finetune", "learning_rate"),
-        finetune_batch=_positive(get("finetune", "batch_size"), "finetune", "batch_size"),
-        sweep_kinds=kinds,
-        sweep_kind=get("sweep", "kind"),
-        sweep_ratios=ratios,
-        sweep_alphas=alphas,
-        sweep_pairs=pairs,
-        sweep_seeds=seeds,
-        sweep_ratio=sweep_ratio,
-    )
+    # The consuming dataclasses check the ranges; their messages name the key.
+    # "default" pools resolve for every category, so when none is set any
+    # category will do to check the pretrain values and the pool text.
+    checks = {
+        "encoder": lambda: cfg.encoder,
+        "split": cfg.split,
+        "pretrain": lambda: cfg.pretrain_config(cfg.category or CATEGORIES[0]),
+    }
+    for section, build in checks.items():
+        try:
+            build()
+        except (ValueError, ConfigError) as err:
+            raise ConfigError(f"[{section}] {err}") from None
+    return cfg

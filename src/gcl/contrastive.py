@@ -48,6 +48,8 @@ class PretrainConfig:
             raise ValueError("batch_size must be >= 2 (the loss needs a negative)")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.loss_variant not in LOSS_VARIANTS:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
 

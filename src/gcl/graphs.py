@@ -117,13 +117,6 @@ def degrees(g: Graph) -> np.ndarray:
     return deg
 
 
-def degree(g: Graph, v: int) -> int:
-    """Degree of node v."""
-    if not 0 <= v < g.num_nodes:
-        raise IndexError(f"node index {v} out of range for graph with {g.num_nodes} nodes")
-    return int(degrees(g)[v])
-
-
 def adjacency_lists(g: Graph) -> list[np.ndarray]:
     """Per-node arrays of neighbor indices."""
     nbrs: list[list[int]] = [[] for _ in range(g.num_nodes)]

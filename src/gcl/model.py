@@ -36,8 +36,10 @@ class EncoderConfig:
             raise ValueError(f"arch must be one of {ARCHS}, got {self.arch!r}")
         if self.readout not in READOUTS:
             raise ValueError(f"readout must be one of {READOUTS}, got {self.readout!r}")
-        if self.num_layers < 1 or self.hidden_dim < 1:
-            raise ValueError("num_layers and hidden_dim must be >= 1")
+        if self.num_layers < 1:
+            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
 
 @dataclass
@@ -180,9 +182,9 @@ def init_params(
     return params
 
 
-def encode(batch: GraphBatch, params: ModelParams, config: EncoderConfig | None = None) -> Tensor:
+def encode(batch: GraphBatch, params: ModelParams) -> Tensor:
     """K message-passing layers followed by per-graph readout; one row per graph."""
-    cfg = config or params.config
+    cfg = params.config
     h = Tensor(batch.features)
     for k in range(cfg.num_layers):
         if cfg.arch == "gcn":

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .augment import DEFAULT_RATIO, AugmentationPool, AugmentationSpec
+from .augment import DEFAULT_RATIO, AugmentationPool, AugmentationSpec, _round_half_up
 from .contrastive import LossCurve, PretrainConfig, pretrain
 from .graphs import GraphDataset
 from .model import (
@@ -35,10 +35,6 @@ from .model import (
 from .tensor import Adam, Tensor, backward, no_grad
 
 log = logging.getLogger(__name__)
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
 
 
 @dataclass(frozen=True)

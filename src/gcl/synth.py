@@ -4,7 +4,7 @@ Used for desk-scale experiments and tests: each family has a characteristic
 topology (cycles with chords, hubs, dense cliques, random trees, two-clique
 communities), sizes are drawn from a range, and `noise` rewires a fraction of
 edges to soften class separability. Node features are the per-graph
-normalized degree unless constant features are requested.
+normalized degree plus a constant column.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _rewire(edges, n, frac, rng):
 
 
 def make_graph(family: str, n: int, rng: np.random.Generator, noise: float = 0.0,
-               feature_mode: str = "degree", label: int | None = None) -> Graph:
+               label: int | None = None) -> Graph:
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
     edges = _BUILDERS[family](n, rng)
@@ -95,14 +95,10 @@ def make_graph(family: str, n: int, rng: np.random.Generator, noise: float = 0.0
     if noise > 0.0:
         edges = _rewire(edges, n, noise, rng)
     arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-    g = Graph(n, arr, np.zeros((n, 1)), label)
-    if feature_mode == "ones":
-        feats = np.ones((n, 1))
-    else:
-        # Normalized degree plus a constant column: rank-2 features keep
-        # bias-free encoders away from the collinear-embedding degeneracy.
-        deg = degrees(g).astype(np.float64)
-        feats = np.stack([deg / max(deg.max(), 1.0), np.ones(n)], axis=1)
+    # Normalized degree plus a constant column: rank-2 features keep
+    # bias-free encoders away from the collinear-embedding degeneracy.
+    deg = degrees(Graph(n, arr, np.zeros((n, 1)))).astype(np.float64)
+    feats = np.stack([deg / max(deg.max(), 1.0), np.ones(n)], axis=1)
     return Graph(n, arr, feats, label)
 
 
@@ -112,7 +108,6 @@ def make_corpus(
     size_range=(8, 16),
     seed: int = 0,
     noise: float = 0.0,
-    feature_mode: str = "degree",
     name: str = "synthetic",
 ) -> GraphDataset:
     """Balanced labeled corpus; label = family index, round-robin over families."""
@@ -122,7 +117,7 @@ def make_corpus(
     for i in range(num_graphs):
         label = i % len(families)
         n = int(rng.integers(lo, hi + 1))
-        graphs.append(make_graph(families[label], n, rng, noise, feature_mode, label))
+        graphs.append(make_graph(families[label], n, rng, noise, label))
     return GraphDataset(
         graphs=tuple(graphs),
         name=name,

@@ -196,33 +196,6 @@ def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
     return _record(out, (a,), backward_fn)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError("mean_rows expects a 2-D tensor")
-    n = a.data.shape[0]
-    out = Tensor(a.data.mean(axis=0))
-
-    def backward_fn(g):
-        _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _record(out, (a,), backward_fn)
-
-
-def concat_rows(tensors) -> Tensor:
-    tensors = list(tensors)
-    out = Tensor(np.vstack([t.data for t in tensors]))
-    sizes = [t.data.shape[0] for t in tensors]
-
-    def backward_fn(g):
-        start = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                _accumulate(t, g[start : start + size])
-            start += size
-
-    return _record(out, tuple(tensors), backward_fn)
-
-
 def gather_rows(a: Tensor, index) -> Tensor:
     index = np.asarray(index, dtype=np.int64)
     out = Tensor(a.data[index])
@@ -323,29 +296,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def adam_step(params, grads, state: dict | None, lr: float = 0.001, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """One functional Adam update over numpy arrays; returns (new_params, state)."""
-    if state is None:
-        state = {
-            "t": 0,
-            "m": [np.zeros_like(p) for p in params],
-            "v": [np.zeros_like(p) for p in params],
-        }
-    state["t"] += 1
-    bc1 = 1.0 - beta1 ** state["t"]
-    bc2 = 1.0 - beta2 ** state["t"]
-    new_params = []
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        if not np.isfinite(g).all():
-            raise FloatingPointError("non-finite gradient in Adam step")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        new_params.append(p - lr * (m / bc1) / (np.sqrt(v / bc2) + eps))
-    return new_params, state
 
 
 def finite_diff_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> dict:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,7 @@ import pytest
 
 import gcl
 from gcl.cli import main
-from gcl.config import ConfigError, parse_config_text, parse_pool_spec
+from gcl.config import ConfigError, RunConfig, default_config, parse_config_text, parse_pool_spec
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,112 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="category"):
             parse_config_text("[dataset]\ncategory = weird\n")
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("encoder", "arch", "gat"),
+            ("encoder", "readout", "max"),
+            ("encoder", "num_layers", "0"),
+            ("encoder", "hidden_dim", "0"),
+            ("pretrain", "temperature", "0"),
+            ("pretrain", "batch_size", "1"),
+            ("pretrain", "epochs", "0"),
+            ("pretrain", "learning_rate", "0"),
+            ("pretrain", "loss_variant", "both"),
+            ("split", "label_rate", "1.5"),
+            ("split", "folds", "1"),
+            ("run", "seed", "-1"),
+            ("run", "workers", "0"),
+            ("finetune", "epochs", "0"),
+            ("finetune", "learning_rate", "0"),
+            ("finetune", "batch_size", "0"),
+            ("sweep", "ratios", "0.9"),
+            ("sweep", "ratio", "1.0"),
+            ("sweep", "kind", "Bogus"),
+            ("sweep", "pairs", "NodeDrop"),
+            ("sweep", "seeds", "-1"),
+        ],
+    )
+    def test_bad_value_error_names_its_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}\b"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+    @pytest.mark.parametrize(
+        "section,key",
+        [
+            ("pretrain", "learning_rate"),
+            ("pretrain", "temperature"),
+            ("encoder", "gin_eps"),
+            ("finetune", "learning_rate"),
+            ("sweep", "alphas"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_number_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: must be a finite number"):
+            parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+EVERY_KEY_SET = """
+[run]
+seed = 7
+output = out/every
+workers = 2
+
+[dataset]
+path = data
+name = SYN
+category = social-sparse
+
+[encoder]
+arch = gin
+num_layers = 2
+hidden_dim = 16
+readout = sum
+gin_eps = 0.25
+
+[pretrain]
+batch_size = 64
+temperature = 0.2
+epochs = 3
+learning_rate = 0.01
+loss_variant = inclusive
+symmetric = true
+pool_i = NodeDrop:0.3:1.5, Subgraph
+pool_j = AttrMask
+
+[split]
+label_rate = 0.5
+folds = 3
+stratified = false
+
+[finetune]
+epochs = 4
+learning_rate = 0.005
+batch_size = 16
+
+[sweep]
+kinds = NodeDrop,AttrMask
+kind = AttrMask
+ratios = 0.1,0.25
+alphas = -1.5,0,2
+pairs = NodeDrop+Subgraph
+seeds = 1,2
+ratio = 0.3
+"""
+
+
+class TestConfigEcho:
+    def test_every_key_set_differs_from_defaults(self):
+        cfg, defaults = parse_config_text(EVERY_KEY_SET), default_config()
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+
+    @pytest.mark.parametrize("text", ["", EVERY_KEY_SET], ids=["defaults", "every-key-set"])
+    def test_echo_parses_back_to_the_same_config(self, text):
+        cfg = parse_config_text(text)
+        assert parse_config_text(cfg.effective_ini()) == cfg
+
 
 class TestCLI:
     def test_pretrain_then_finetune(self, tmp_path, corpus_dir):
@@ -95,6 +202,14 @@ class TestCLI:
         metrics = json.load(open(os.path.join(out_ft, "metrics.json")))
         assert metrics["protocol"] == "finetune"
         assert len(metrics["fold_accuracies"]) == 2
+
+    def test_workers_zero_rejected_before_loading(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[dataset]\npath = {tmp_path / 'missing'}\nname = SYN\n")
+        out = tmp_path / "w0"
+        assert main(["pretrain", "--config", str(cfg), "--workers", "0", "--output", str(out)]) == 1
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_usage_error(self):
         assert main(["pretrain"]) == 1

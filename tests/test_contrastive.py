@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gcl.augment import AugmentationPool, AugmentationSpec, default_pool
-from gcl.contrastive import LossCurve, PretrainConfig, cosine_sim, nt_xent, pretrain
+from gcl.contrastive import LossCurve, PretrainConfig, contrastive_loss, cosine_sim, nt_xent, pretrain
 from gcl.graphs import Graph, GraphDataset
 from gcl.model import EncoderConfig, encode, make_batch, project
 from gcl.synth import make_corpus
-from gcl.tensor import Tensor, finite_diff_check
+from gcl.tensor import Tensor, finite_diff_check, no_grad
 
 
 def identity_pool():
@@ -84,6 +84,17 @@ class TestNTXent:
                 return nt_xent(ps[0], ps[1], 0.5, v)
 
             assert finite_diff_check(f, [zi, zj])["passed"]
+
+    @pytest.mark.parametrize("variant", ["exclusive", "inclusive"])
+    def test_symmetric_averages_both_anchorings(self, variant):
+        rng = np.random.default_rng(5)
+        zi = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        zj = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        config = PretrainConfig(temperature=0.5, loss_variant=variant, symmetric=True)
+        with no_grad():
+            expected = 0.5 * (nt_xent(zi, zj, 0.5, variant).item() + nt_xent(zj, zi, 0.5, variant).item())
+            assert contrastive_loss(zi, zj, config).item() == pytest.approx(expected, abs=1e-12)
+        assert finite_diff_check(lambda ps: contrastive_loss(ps[0], ps[1], config), [zi, zj])["passed"]
 
     def test_tiny_temperature_stays_finite(self):
         rng = np.random.default_rng(4)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gcl.graphs import (
     Graph,
-    degree,
     degrees,
     induced_subgraph,
     load_tudataset,
@@ -31,20 +30,16 @@ def write_minimal_corpus(directory):
 
 class TestDegree:
     def test_path_center(self, path3):
-        assert degree(path3, 1) == 2
-        assert degree(path3, 0) == 1
+        assert degrees(path3)[1] == 2
+        assert degrees(path3)[0] == 1
 
     def test_isolated_node(self):
         g = make_graph(3, [(0, 1)])
-        assert degree(g, 2) == 0
+        assert degrees(g)[2] == 0
 
     def test_k5(self):
         g = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-        assert all(degree(g, v) == 4 for v in range(5))
-
-    def test_out_of_range(self, path3):
-        with pytest.raises(IndexError):
-            degree(path3, 3)
+        assert degrees(g).tolist() == [4] * 5
 
 
 class TestInducedSubgraph:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gcl import tensor as T
-from gcl.tensor import Adam, Tensor, adam_step, backward, finite_diff_check, no_grad, zero_grad
+from gcl.tensor import Adam, Tensor, backward, finite_diff_check, no_grad, zero_grad
 
 
 def t(data, grad=True):
@@ -153,12 +153,12 @@ class TestFiniteDiff:
     def test_gather_and_concat(self):
         rng = np.random.default_rng(5)
         p = t(rng.normal(size=(4, 3)))
-        probe = Tensor(rng.normal(size=(8, 3)))
+        probe = Tensor(rng.normal(size=(4, 3)))
 
         def f(ps):
+            # The repeated index and the second use of ps[0] both accumulate.
             gathered = T.gather_rows(ps[0], [0, 2, 2, 3])
-            stacked = T.concat_rows([gathered, ps[0]])
-            return T.sum(T.mul(stacked, probe))
+            return T.sum(T.mul(T.add(gathered, ps[0]), probe))
 
         assert finite_diff_check(f, [p])["passed"]
 
@@ -197,14 +197,3 @@ class TestAdam:
         p.grad = np.array([np.inf])
         with pytest.raises(FloatingPointError):
             opt.step()
-
-    def test_functional_adam_step_matches_class(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=(2, 2))
-        grad = rng.normal(size=(2, 2))
-        p = Tensor(data.copy(), requires_grad=True)
-        opt = Adam([p], lr=0.01)
-        p.grad = grad.copy()
-        opt.step()
-        new_params, _ = adam_step([data.copy()], [grad.copy()], None, lr=0.01)
-        np.testing.assert_allclose(p.data, new_params[0])
