@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency_lists, degrees, induced_subgraph
+from .graphs import Graph, degrees, induced_subgraph
 
 KINDS = ("Identity", "NodeDrop", "EdgePerturb", "AttrMask", "Subgraph")
 
@@ -88,27 +88,38 @@ def node_drop(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) ->
     if g.num_nodes < 2:
         raise AugmentationError("node dropping needs at least 2 nodes")
     d = min(_round_half_up(ratio * g.num_nodes), g.num_nodes - 1)
-    if d == 0:
-        return induced_subgraph(g, np.arange(g.num_nodes))
     probs = degree_biased_probs(g, alpha)
     dropped = rng.choice(g.num_nodes, size=d, replace=False, p=probs)
     keep = np.setdiff1d(np.arange(g.num_nodes), dropped)
     return induced_subgraph(g, keep)
 
 
-def _sample_non_edges(n: int, existing: set, k: int, rng: np.random.Generator) -> list:
-    """Up to k distinct unordered non-edges, uniform over the complement of `existing`."""
+def _sample_non_edges(n: int, edges: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Up to k distinct non-edges as (u < v) rows, uniform over the complement of `edges`.
+
+    While non-edges are at least half of all pairs, ordered pairs u != v are
+    rejection-sampled in draw order (expected O(k) draws); denser graphs
+    enumerate the complement.
+    """
     total = n * (n - 1) // 2
-    available = total - len(existing)
-    if available <= 0:
-        return []
-    iu, ju = np.triu_indices(n, k=1)
-    codes = iu.astype(np.int64) * n + ju.astype(np.int64)
-    taken = np.fromiter((u * n + v for u, v in existing), dtype=np.int64, count=len(existing))
-    eligible = np.setdiff1d(codes, taken, assume_unique=False)
-    take = min(k, eligible.size)
-    picked = rng.choice(eligible, size=take, replace=False)
-    return [(int(c) // n, int(c) % n) for c in picked]
+    available = total - len(edges)
+    take = min(k, available)
+    # Pairs are keyed u*n+v; the sentinel n*n keeps searchsorted inside `known`.
+    known = np.append(np.sort(edges[:, 0] * n + edges[:, 1]), n * n)
+    picked = np.zeros(0, dtype=np.int64)
+    if 2 * available < total:
+        iu, ju = np.triu_indices(n, k=1)
+        keys = iu.astype(np.int64) * n + ju
+        picked = rng.choice(keys[known[np.searchsorted(known, keys)] != keys], size=take, replace=False)
+    while picked.size < take:
+        draws = int((take - picked.size) * total / (available - picked.size) * 1.1) + 8
+        u = rng.integers(n, size=draws)
+        v = rng.integers(n - 1, size=draws)
+        v += v >= u
+        keys = np.concatenate([picked, np.minimum(u, v) * n + np.maximum(u, v)])
+        keys = keys[known[np.searchsorted(known, keys)] != keys]
+        picked = keys[np.sort(np.unique(keys, return_index=True)[1])[:take]]
+    return np.stack([picked // n, picked % n], axis=1)
 
 
 def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
@@ -122,16 +133,11 @@ def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     k = _round_half_up(ratio * g.num_edges)
     if k == 0:
         return g
-    removed_idx = rng.choice(g.num_edges, size=k, replace=False)
-    keep_mask = np.ones(g.num_edges, dtype=bool)
-    keep_mask[removed_idx] = False
-    new_edges = [tuple(e) for e in g.edges[keep_mask]]
+    kept = np.delete(g.edges, rng.choice(g.num_edges, size=k, replace=False), axis=0)
     # Removed pairs stay ineligible: the non-edge set is taken relative to
     # the original edge set.
-    original = {tuple(e) for e in g.edges}
-    new_edges.extend(_sample_non_edges(g.num_nodes, original, k, rng))
-    arr = np.asarray(sorted(new_edges), dtype=np.int64).reshape(len(new_edges), 2)
-    return Graph(g.num_nodes, arr, g.node_features, g.label)
+    edges = np.concatenate([kept, _sample_non_edges(g.num_nodes, g.edges, k, rng)])
+    return Graph(g.num_nodes, edges[np.lexsort((edges[:, 1], edges[:, 0]))], g.node_features, g.label)
 
 
 def attr_mask(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) -> Graph:
@@ -162,24 +168,32 @@ def subgraph_rw(
     are visited or the step budget (default 10*n) runs out, in which case the
     partial visited set is used.
     """
-    if g.num_nodes < 2:
+    n = g.num_nodes
+    if n < 2:
         raise AugmentationError("subgraph sampling needs at least 2 nodes")
-    target = max(1, _round_half_up((1.0 - ratio) * g.num_nodes))
-    budget = 10 * g.num_nodes if max_steps is None else max_steps
-    adj = adjacency_lists(g)
-    seed_node = int(rng.integers(g.num_nodes))
-    visited = {seed_node}
-    current = seed_node
-    steps = 0
-    while len(visited) < target and steps < budget:
-        steps += 1
-        neighbors = adj[current]
-        if neighbors.size == 0 or rng.random() < RESTART_PROB:
-            current = seed_node
-        else:
-            current = int(neighbors[rng.integers(neighbors.size)])
-        visited.add(current)
-    return induced_subgraph(g, visited)
+    target = max(1, _round_half_up((1.0 - ratio) * n))
+    budget = 10 * n if max_steps is None else max_steps
+    # CSR adjacency: the neighbors of u are nbr[start[u]:start[u] + deg[u]].
+    deg = degrees(g).tolist()
+    start = np.cumsum([0] + deg[:-1]).tolist()
+    nbr = g.edges[:, ::-1].ravel()[np.argsort(g.edges.ravel(), kind="stable")].tolist()
+    seed_node = current = int(rng.integers(n))
+    seen = [False] * n
+    seen[seed_node] = True
+    count, steps = 1, 0
+    while count < target and steps < budget:
+        # One (restart, neighbor) uniform pair per step, drawn a block at a time.
+        block = rng.random((min(budget - steps, 2 * n), 2)).tolist()
+        steps += len(block)
+        for r, w in block:
+            d = deg[current]
+            current = seed_node if d == 0 or r < RESTART_PROB else nbr[start[current] + int(w * d)]
+            if not seen[current]:
+                seen[current] = True
+                count += 1
+                if count == target:
+                    break
+    return induced_subgraph(g, np.flatnonzero(seen))
 
 
 def apply_augmentation(spec: AugmentationSpec, g: Graph, rng: np.random.Generator) -> Graph:

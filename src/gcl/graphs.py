@@ -1,4 +1,4 @@
-"""Graph data model, TUDataset-format IO, and structural utilities.
+"""Graph data model, TUDataset-format IO, atomic file writes, and structural utilities.
 
 Graphs are undirected, attributed, and immutable: each edge is stored once as
 an (u, v) pair with u < v, node features are a dense float64 matrix, and the
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,48 +106,28 @@ class GraphDataset:
 
 def _canonical_edges(pairs) -> np.ndarray:
     """Sort pairs as (min, max) rows ordered lexicographically."""
-    arr = np.asarray(sorted((min(u, v), max(u, v)) for u, v in pairs), dtype=np.int64)
-    return arr.reshape(-1, 2) if arr.size else np.zeros((0, 2), dtype=np.int64)
+    arr = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
 
 
 def degrees(g: Graph) -> np.ndarray:
     """Degree of every node (number of incident stored edges)."""
-    deg = np.zeros(g.num_nodes, dtype=np.int64)
-    if g.num_edges:
-        np.add.at(deg, g.edges[:, 0], 1)
-        np.add.at(deg, g.edges[:, 1], 1)
-    return deg
-
-
-def adjacency_lists(g: Graph) -> list[np.ndarray]:
-    """Per-node arrays of neighbor indices."""
-    nbrs: list[list[int]] = [[] for _ in range(g.num_nodes)]
-    for u, v in g.edges:
-        nbrs[u].append(int(v))
-        nbrs[v].append(int(u))
-    return [np.array(a, dtype=np.int64) for a in nbrs]
+    return np.bincount(g.edges.ravel(), minlength=g.num_nodes)
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:
     """Subgraph on the node set `keep`, reindexed densely in ascending original order."""
-    keep_arr = np.unique(np.asarray(list(keep), dtype=np.int64))
+    keep_arr = np.unique(np.asarray(keep if isinstance(keep, np.ndarray) else list(keep), dtype=np.int64))
     if keep_arr.size == 0:
         raise ValueError("induced_subgraph needs a non-empty node set")
     if keep_arr[0] < 0 or keep_arr[-1] >= g.num_nodes:
         raise IndexError("keep set contains node indices outside the graph")
     new_index = -np.ones(g.num_nodes, dtype=np.int64)
     new_index[keep_arr] = np.arange(keep_arr.size)
-    if g.num_edges:
-        mask = (new_index[g.edges[:, 0]] >= 0) & (new_index[g.edges[:, 1]] >= 0)
-        edges = new_index[g.edges[mask]]
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    return Graph(
-        num_nodes=int(keep_arr.size),
-        edges=_canonical_edges(edges),
-        node_features=g.node_features[keep_arr].copy(),
-        label=g.label,
-    )
+    mask = (new_index[g.edges[:, 0]] >= 0) & (new_index[g.edges[:, 1]] >= 0)
+    # The reindex is monotone, so the canonical (u < v, sorted) edge order carries over.
+    edges = new_index[g.edges[mask]]
+    return Graph(int(keep_arr.size), edges, g.node_features[keep_arr], g.label)
 
 
 def permute_nodes(g: Graph, perm) -> Graph:
@@ -155,8 +137,7 @@ def permute_nodes(g: Graph, perm) -> Graph:
         raise ValueError("perm must be a permutation of all node indices")
     feats = np.empty_like(g.node_features)
     feats[perm] = g.node_features
-    edges = perm[g.edges] if g.num_edges else g.edges
-    return Graph(g.num_nodes, _canonical_edges(edges), feats, g.label)
+    return Graph(g.num_nodes, _canonical_edges(perm[g.edges]), feats, g.label)
 
 
 def validate(g: Graph) -> list[str]:
@@ -180,6 +161,25 @@ def validate(g: Graph) -> list[str]:
             f"node_features has {g.node_features.shape[0]} rows for {g.num_nodes} nodes"
         )
     return violations
+
+
+@contextmanager
+def atomic_open(path):
+    """Open `path` for text writing through a temporary file in the same directory.
+
+    The file replaces `path` only when the block exits without an exception, so
+    a failure mid-write leaves any previous file intact and no temporary file.
+    """
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_lines(path):
@@ -227,12 +227,14 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
         raise ValueError("graph indicator ids must be 1-based positive integers")
 
     # Global 1-based node id -> (graph index, local node index).
+    # order lists the nodes grouped by graph in file order, so a node's local
+    # index is its position in order minus its graph's first position.
     node_graph = indicator - 1
-    local_index = np.zeros(total_nodes, dtype=np.int64)
-    counts = np.zeros(num_graphs, dtype=np.int64)
-    for i, gidx in enumerate(node_graph):
-        local_index[i] = counts[gidx]
-        counts[gidx] += 1
+    counts = np.bincount(node_graph, minlength=num_graphs)
+    first = np.cumsum(counts) - counts
+    order = np.argsort(node_graph, kind="stable")
+    local_index = np.empty(total_nodes, dtype=np.int64)
+    local_index[order] = np.arange(total_nodes) - first[node_graph[order]]
     if (counts == 0).any():
         empty = int(np.where(counts == 0)[0][0]) + 1
         raise ValueError(f"graph {empty} has no nodes in the indicator file")
@@ -265,10 +267,8 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
             raise ValueError(
                 f"{name}_graph_labels.txt has {len(raw)} lines for {num_graphs} graphs"
             )
-        classes = sorted(set(raw))
-        num_classes = len(classes)
-        remap = {c: k for k, c in enumerate(classes)}
-        labels = [remap[c] for c in raw]
+        classes, labels = np.unique(raw, return_inverse=True)
+        num_classes, labels = len(classes), labels.tolist()
 
     nl_path = _resolve_file(directory, name, "node_labels")
     na_path = _resolve_file(directory, name, "node_attributes")
@@ -279,11 +279,9 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
             raise ValueError(
                 f"{name}_node_labels.txt has {len(raw)} lines, indicator lists {total_nodes} nodes"
             )
-        values = sorted(set(raw))
+        values, cols = np.unique(raw, return_inverse=True)
         onehot = np.zeros((total_nodes, len(values)), dtype=np.float64)
-        col = {c: k for k, c in enumerate(values)}
-        for i, c in enumerate(raw):
-            onehot[i, col[c]] = 1.0
+        onehot[np.arange(total_nodes), cols] = 1.0
         blocks.append(onehot)
     if na_path:
         rows = [[float(x) for x in line.split(",")] for line in _read_lines(na_path)]
@@ -298,19 +296,13 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
     features = np.hstack(blocks) if blocks else None
 
     graphs = []
-    node_of_graph: list[list[int]] = [[] for _ in range(num_graphs)]
-    for i, gidx in enumerate(node_graph):
-        node_of_graph[gidx].append(i)
     for gidx in range(num_graphs):
         n = int(counts[gidx])
-        edges = _canonical_edges(edge_sets[gidx])
+        edges = _canonical_edges(list(edge_sets[gidx]))
         if features is not None:
-            feats = features[node_of_graph[gidx]]
+            feats = features[order[first[gidx]:first[gidx] + n]]
         else:
-            deg = np.zeros(n, dtype=np.float64)
-            if edges.size:
-                np.add.at(deg, edges[:, 0], 1.0)
-                np.add.at(deg, edges[:, 1], 1.0)
+            deg = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
             feats = (deg / max(deg.max(), 1.0)).reshape(n, 1)
         graphs.append(
             Graph(n, edges, feats, None if labels is None else labels[gidx])

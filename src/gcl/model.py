@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as T
+from .graphs import atomic_open
 from .tensor import Tensor
 
 ARCHS = ("gcn", "gin")
@@ -65,19 +66,18 @@ def make_batch(graphs) -> GraphBatch:
         if g.num_nodes == 0:
             raise ValueError(f"graph {i} in batch is empty")
         feats.append(g.node_features)
-        if g.num_edges:
-            u = g.edges[:, 0] + offset
-            v = g.edges[:, 1] + offset
-            srcs.append(np.concatenate([u, v]))
-            dsts.append(np.concatenate([v, u]))
+        u = g.edges[:, 0] + offset
+        v = g.edges[:, 1] + offset
+        srcs.append(np.concatenate([u, v]))
+        dsts.append(np.concatenate([v, u]))
         segs.append(np.full(g.num_nodes, i, dtype=np.int64))
         counts.append(g.num_nodes)
         labels.append(-1 if g.label is None else g.label)
         offset += g.num_nodes
     return GraphBatch(
         features=np.vstack(feats).astype(np.float64),
-        src=np.concatenate(srcs) if srcs else np.zeros(0, dtype=np.int64),
-        dst=np.concatenate(dsts) if dsts else np.zeros(0, dtype=np.int64),
+        src=np.concatenate(srcs),
+        dst=np.concatenate(dsts),
         segments=np.concatenate(segs),
         num_graphs=len(graphs),
         node_counts=np.array(counts, dtype=np.int64),
@@ -90,9 +90,7 @@ def gcn_layer(h: Tensor, batch: GraphBatch, weight: Tensor) -> Tensor:
     n = batch.features.shape[0]
     if h.data.shape[0] != n:
         raise ValueError("node embedding row count does not match the batch")
-    deg_hat = np.ones(n, dtype=np.float64)
-    if batch.dst.size:
-        deg_hat += np.bincount(batch.dst, minlength=n).astype(np.float64)
+    deg_hat = 1.0 + np.bincount(batch.dst, minlength=n)
     inv_sqrt = 1.0 / np.sqrt(deg_hat)
     hw = T.matmul(h, weight)
     self_term = T.mul(hw, Tensor((1.0 / deg_hat)[:, None]))
@@ -257,7 +255,7 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
             for name, t in params.tensors.items()
         ],
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
 

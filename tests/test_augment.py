@@ -1,9 +1,13 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcl.augment import (
+    RESTART_PROB,
     AugmentationError,
     AugmentationPool,
     AugmentationSpec,
@@ -17,6 +21,7 @@ from gcl.augment import (
     subgraph_rw,
 )
 from gcl.graphs import validate
+from gcl.synth import make_corpus
 
 from conftest import is_connected, make_graph, random_connected_graph
 
@@ -102,6 +107,64 @@ class TestEdgePerturb:
         out = edge_perturb(g, float(r.uniform(0.0, 0.9)), r)
         assert validate(out) == []
 
+    @staticmethod
+    def added_pair_counts(g, ratio, draws):
+        """How often each non-edge of g is added over `draws` seeded perturbations."""
+        original = {tuple(e) for e in g.edges.tolist()}
+        n = g.num_nodes
+        complement = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in original]
+        counts = dict.fromkeys(complement, 0)
+        for seed in range(draws):
+            for e in edge_perturb(g, ratio, rng(seed)).edges.tolist():
+                if tuple(e) not in original:
+                    counts[tuple(e)] += 1
+        return np.array(list(counts.values()))
+
+    def test_added_pairs_uniform_sparse(self):
+        from scipy import stats
+
+        # An 8-node path: 21 of 28 pairs are non-edges, the rejection-sampled branch.
+        g = make_graph(8, [(i, i + 1) for i in range(7)])
+        counts = self.added_pair_counts(g, 0.3, 3000)
+        assert counts.size == 21 and counts.sum() == 2 * 3000
+        assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_added_pairs_uniform_dense(self):
+        from scipy import stats
+
+        # K8 minus 12 pairs: 12 of 28 pairs are non-edges, the enumerated branch.
+        pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        missing = set(rng(36).permutation(len(pairs))[:12].tolist())
+        g = make_graph(8, [p for i, p in enumerate(pairs) if i not in missing])
+        counts = self.added_pair_counts(g, 0.25, 3000)
+        assert counts.size == 12 and counts.sum() == 4 * 3000
+        assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_removed_pairs_never_readded_sparse(self):
+        r = rng(37)
+        for seed in range(200):
+            g = random_connected_graph(r, n_min=20, n_max=40, extra_frac=0.1)
+            k = int(np.floor(0.3 * g.num_edges + 0.5))
+            out = edge_perturb(g, 0.3, rng(seed))
+            kept = {tuple(e) for e in out.edges.tolist()} & {tuple(e) for e in g.edges.tolist()}
+            assert out.num_edges == g.num_edges
+            assert len(kept) == g.num_edges - k
+
+    def test_sparse_4000_node_tree_time_and_memory(self):
+        g = make_corpus(1, families=("tree",), size_range=(4000, 4000), seed=0)[0]
+        start = time.perf_counter()
+        edge_perturb(g, 0.2, rng(38))
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            out = edge_perturb(g, 0.2, rng(38))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert validate(out) == [] and out.num_edges == g.num_edges
+        assert elapsed <= 0.5
+        assert peak <= 16 * 2**20
+
 
 class TestAttrMask:
     def test_masks_exact_count(self):
@@ -149,6 +212,17 @@ class TestSubgraphRW:
     def test_single_node_rejected(self):
         with pytest.raises(AugmentationError):
             subgraph_rw(make_graph(1, []), 0.2, rng(0))
+
+    def test_restart_law_one_step(self):
+        from scipy import stats
+
+        # With no isolated node, the one step restarts (1 node) with
+        # probability RESTART_PROB or moves to a new neighbor (2 nodes).
+        g = random_connected_graph(rng(39), n_min=10, n_max=10)
+        r = rng(40)
+        twos = sum(subgraph_rw(g, 0.0, r, max_steps=1).num_nodes == 2 for _ in range(4000))
+        lo, hi = stats.binom.interval(0.999, 4000, 1.0 - RESTART_PROB)
+        assert lo <= twos <= hi
 
 
 class TestApplyAndPools:

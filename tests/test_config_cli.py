@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 import gcl
-from gcl.cli import main
+from gcl.cli import _write_json, dispatch, main
 from gcl.config import ConfigError, RunConfig, default_config, parse_config_text, parse_pool_spec
 
 
@@ -181,10 +183,63 @@ class TestConfigEcho:
         for f in dataclasses.fields(RunConfig):
             assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
 
+    def test_readme_example_config_parses(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config_text(block)
+        assert (cfg.dataset_name, cfg.category, cfg.arch, cfg.readout) == (
+            "PROTEINS", "biochemical", "gcn", "mean")
+
     @pytest.mark.parametrize("text", ["", EVERY_KEY_SET], ids=["defaults", "every-key-set"])
     def test_echo_parses_back_to_the_same_config(self, text):
         cfg = parse_config_text(text)
         assert parse_config_text(cfg.effective_ini()) == cfg
+
+
+class TestAtomicWrites:
+    """A failure mid-write leaves the previous file intact and no temporary file."""
+
+    @staticmethod
+    def previous(directory, name):
+        path = directory / name
+        path.write_text("previous contents\n")
+        return str(path)
+
+    @staticmethod
+    def assert_intact(directory, path):
+        assert open(path).read() == "previous contents\n"
+        assert not [f for f in os.listdir(directory) if f.endswith(".tmp")]
+
+    def test_metric_file(self, tmp_path):
+        path = self.previous(tmp_path, "metrics.json")
+        with pytest.raises(TypeError):  # "a" is written before "b" fails to serialize
+            _write_json(path, {"a": 1.0, "b": object()})
+        self.assert_intact(tmp_path, path)
+
+    def test_checkpoint(self, tmp_path, monkeypatch):
+        path = self.previous(tmp_path, "checkpoint.json")
+        params = gcl.init_params(gcl.EncoderConfig(hidden_dim=4), 2, 0, np.random.default_rng(0))
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"format": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(gcl.model.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            gcl.save_checkpoint(params, path)
+        self.assert_intact(tmp_path, path)
+
+    def test_config_echo(self, tmp_path, monkeypatch):
+        path = self.previous(tmp_path, "config.effective.ini")
+        cfg = parse_config_text(f"[run]\noutput = {tmp_path}\n")
+
+        def fail(self):
+            raise RuntimeError("echo failed")
+
+        monkeypatch.setattr(RunConfig, "effective_ini", fail)
+        with pytest.raises(RuntimeError, match="echo failed"):
+            dispatch("grad-check", cfg)
+        self.assert_intact(tmp_path, path)
 
 
 class TestCLI:

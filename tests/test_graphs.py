@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from gcl.graphs import (
     Graph,
+    _canonical_edges,
     degrees,
     induced_subgraph,
     load_tudataset,
@@ -40,6 +41,29 @@ class TestDegree:
     def test_k5(self):
         g = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
         assert degrees(g).tolist() == [4] * 5
+
+
+class TestCanonicalEdges:
+    @staticmethod
+    def reference(pairs):
+        arr = np.asarray(sorted((min(u, v), max(u, v)) for u, v in pairs), dtype=np.int64)
+        return arr.reshape(-1, 2) if arr.size else np.zeros((0, 2), dtype=np.int64)
+
+    def test_matches_sorted_tuples(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            n = int(rng.integers(2, 30))
+            pairs = {tuple(p) for p in rng.integers(0, n, size=(int(rng.integers(1, 40)), 2)).tolist()
+                     if p[0] != p[1]}
+            for arg in (list(pairs), np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)):
+                out = _canonical_edges(arg)
+                assert out.dtype == np.int64
+                assert out.tolist() == self.reference(pairs).tolist()
+
+    def test_empty(self):
+        for arg in ([], np.zeros((0, 2), dtype=np.int64)):
+            out = _canonical_edges(arg)
+            assert out.shape == (0, 2) and out.dtype == np.int64
 
 
 class TestInducedSubgraph:
