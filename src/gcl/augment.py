@@ -88,6 +88,8 @@ def node_drop(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) ->
     if g.num_nodes < 2:
         raise AugmentationError("node dropping needs at least 2 nodes")
     d = min(_round_half_up(ratio * g.num_nodes), g.num_nodes - 1)
+    if d == 0:
+        return induced_subgraph(g, np.arange(g.num_nodes))
     probs = degree_biased_probs(g, alpha)
     dropped = rng.choice(g.num_nodes, size=d, replace=False, p=probs)
     keep = np.setdiff1d(np.arange(g.num_nodes), dropped)
@@ -97,9 +99,8 @@ def node_drop(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) ->
 def _sample_non_edges(n: int, edges: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Up to k distinct non-edges as (u < v) rows, uniform over the complement of `edges`.
 
-    While non-edges are at least half of all pairs, ordered pairs u != v are
-    rejection-sampled in draw order (expected O(k) draws); denser graphs
-    enumerate the complement.
+    Ordered pairs u != v are rejection-sampled and kept in draw order; the
+    expected number of draws is O(k) while non-edges are a fixed share of all pairs.
     """
     total = n * (n - 1) // 2
     available = total - len(edges)
@@ -107,10 +108,6 @@ def _sample_non_edges(n: int, edges: np.ndarray, k: int, rng: np.random.Generato
     # Pairs are keyed u*n+v; the sentinel n*n keeps searchsorted inside `known`.
     known = np.append(np.sort(edges[:, 0] * n + edges[:, 1]), n * n)
     picked = np.zeros(0, dtype=np.int64)
-    if 2 * available < total:
-        iu, ju = np.triu_indices(n, k=1)
-        keys = iu.astype(np.int64) * n + ju
-        picked = rng.choice(keys[known[np.searchsorted(known, keys)] != keys], size=take, replace=False)
     while picked.size < take:
         draws = int((take - picked.size) * total / (available - picked.size) * 1.1) + 8
         u = rng.integers(n, size=draws)
@@ -137,7 +134,7 @@ def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     # Removed pairs stay ineligible: the non-edge set is taken relative to
     # the original edge set.
     edges = np.concatenate([kept, _sample_non_edges(g.num_nodes, g.edges, k, rng)])
-    return Graph(g.num_nodes, edges[np.lexsort((edges[:, 1], edges[:, 0]))], g.node_features, g.label)
+    return Graph(g.num_nodes, edges, g.node_features, g.label)
 
 
 def attr_mask(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) -> Graph:

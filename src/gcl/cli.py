@@ -284,9 +284,15 @@ def _cmd_loss_compare(cfg, dataset, outdir, runlog, checkpoint):
 
 def _cmd_grad_check(cfg, outdir, runlog):
     report = run_gradient_checks(draws=20, h=1e-5, tol=1e-4, seed=cfg.seed)
-    # Everything but the elapsed time, so reruns stay byte-identical.
-    doc = {k: v for k, v in report.items() if k != "elapsed_seconds"}
-    doc["protocol"] = "grad_check"
+    doc = {
+        "protocol": "grad_check",
+        "draws": report["draws"],
+        "h": report["h"],
+        "tol": report["tol"],
+        "seed": report["seed"],
+        "checks": report["checks"],
+        "passed": report["passed"],
+    }
     _write_json(os.path.join(outdir, "gradcheck.json"), doc)
     worst = max(r["max_rel_error"] for r in report["checks"].values())
     status = "PASS" if report["passed"] else "FAIL"

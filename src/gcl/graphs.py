@@ -47,14 +47,15 @@ class Graph:
     """Undirected attributed graph with an optional class label."""
 
     num_nodes: int
-    edges: np.ndarray  # (E, 2) int64, u < v, deduplicated, no self-loops
+    edges: np.ndarray  # (E, 2) int64, u < v rows sorted on construction; no duplicates or self-loops
     node_features: np.ndarray  # (num_nodes, feature_dim) float64
     label: int | None = None
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64)
-        if edges.size == 0:
-            edges = edges.reshape(0, 2)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2):
+            raise ValueError(f"edges must have shape (E, 2), got {edges.shape}")
+        edges = _canonical_edges(edges)
         feats = np.asarray(self.node_features, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError(f"node_features must be 2-D, got shape {feats.shape}")
@@ -125,9 +126,7 @@ def induced_subgraph(g: Graph, keep) -> Graph:
     new_index = -np.ones(g.num_nodes, dtype=np.int64)
     new_index[keep_arr] = np.arange(keep_arr.size)
     mask = (new_index[g.edges[:, 0]] >= 0) & (new_index[g.edges[:, 1]] >= 0)
-    # The reindex is monotone, so the canonical (u < v, sorted) edge order carries over.
-    edges = new_index[g.edges[mask]]
-    return Graph(int(keep_arr.size), edges, g.node_features[keep_arr], g.label)
+    return Graph(int(keep_arr.size), new_index[g.edges[mask]], g.node_features[keep_arr], g.label)
 
 
 def permute_nodes(g: Graph, perm) -> Graph:
@@ -137,25 +136,20 @@ def permute_nodes(g: Graph, perm) -> Graph:
         raise ValueError("perm must be a permutation of all node indices")
     feats = np.empty_like(g.node_features)
     feats[perm] = g.node_features
-    return Graph(g.num_nodes, _canonical_edges(perm[g.edges]), feats, g.label)
+    return Graph(g.num_nodes, perm[g.edges], feats, g.label)
 
 
 def validate(g: Graph) -> list[str]:
     """Return descriptions of every violated Graph invariant (empty list = valid)."""
     violations = []
-    if g.num_edges:
-        bad = (g.edges < 0) | (g.edges >= g.num_nodes)
-        for u, v in g.edges[bad.any(axis=1)]:
-            violations.append(f"edge ({u}, {v}) has an endpoint outside [0, {g.num_nodes})")
-        loops = g.edges[:, 0] == g.edges[:, 1]
-        for u, v in g.edges[loops]:
-            violations.append(f"self-loop ({u}, {v})")
-        seen = set()
-        for u, v in g.edges:
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                violations.append(f"duplicate edge {key}")
-            seen.add(key)
+    bad = (g.edges < 0) | (g.edges >= g.num_nodes)
+    for u, v in g.edges[bad.any(axis=1)]:
+        violations.append(f"edge ({u}, {v}) has an endpoint outside [0, {g.num_nodes})")
+    for u, v in g.edges[g.edges[:, 0] == g.edges[:, 1]]:
+        violations.append(f"self-loop ({u}, {v})")
+    # Edges are stored sorted, so a duplicate sits right after its first copy.
+    for u, v in g.edges[1:][(g.edges[1:] == g.edges[:-1]).all(axis=1)]:
+        violations.append(f"duplicate edge ({u}, {v})")
     if g.node_features.shape[0] != g.num_nodes:
         violations.append(
             f"node_features has {g.node_features.shape[0]} rows for {g.num_nodes} nodes"
@@ -227,14 +221,12 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
         raise ValueError("graph indicator ids must be 1-based positive integers")
 
     # Global 1-based node id -> (graph index, local node index).
-    # order lists the nodes grouped by graph in file order, so a node's local
-    # index is its position in order minus its graph's first position.
     node_graph = indicator - 1
-    counts = np.bincount(node_graph, minlength=num_graphs)
-    first = np.cumsum(counts) - counts
-    order = np.argsort(node_graph, kind="stable")
-    local_index = np.empty(total_nodes, dtype=np.int64)
-    local_index[order] = np.arange(total_nodes) - first[node_graph[order]]
+    local_index = np.zeros(total_nodes, dtype=np.int64)
+    counts = np.zeros(num_graphs, dtype=np.int64)
+    for i, gidx in enumerate(node_graph):
+        local_index[i] = counts[gidx]
+        counts[gidx] += 1
     if (counts == 0).any():
         empty = int(np.where(counts == 0)[0][0]) + 1
         raise ValueError(f"graph {empty} has no nodes in the indicator file")
@@ -267,8 +259,10 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
             raise ValueError(
                 f"{name}_graph_labels.txt has {len(raw)} lines for {num_graphs} graphs"
             )
-        classes, labels = np.unique(raw, return_inverse=True)
-        num_classes, labels = len(classes), labels.tolist()
+        classes = sorted(set(raw))
+        num_classes = len(classes)
+        remap = {c: k for k, c in enumerate(classes)}
+        labels = [remap[c] for c in raw]
 
     nl_path = _resolve_file(directory, name, "node_labels")
     na_path = _resolve_file(directory, name, "node_attributes")
@@ -279,9 +273,11 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
             raise ValueError(
                 f"{name}_node_labels.txt has {len(raw)} lines, indicator lists {total_nodes} nodes"
             )
-        values, cols = np.unique(raw, return_inverse=True)
+        values = sorted(set(raw))
         onehot = np.zeros((total_nodes, len(values)), dtype=np.float64)
-        onehot[np.arange(total_nodes), cols] = 1.0
+        col = {c: k for k, c in enumerate(values)}
+        for i, c in enumerate(raw):
+            onehot[i, col[c]] = 1.0
         blocks.append(onehot)
     if na_path:
         rows = [[float(x) for x in line.split(",")] for line in _read_lines(na_path)]
@@ -296,13 +292,19 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
     features = np.hstack(blocks) if blocks else None
 
     graphs = []
+    node_of_graph: list[list[int]] = [[] for _ in range(num_graphs)]
+    for i, gidx in enumerate(node_graph):
+        node_of_graph[gidx].append(i)
     for gidx in range(num_graphs):
         n = int(counts[gidx])
         edges = _canonical_edges(list(edge_sets[gidx]))
         if features is not None:
-            feats = features[order[first[gidx]:first[gidx] + n]]
+            feats = features[node_of_graph[gidx]]
         else:
-            deg = np.bincount(edges.ravel(), minlength=n).astype(np.float64)
+            deg = np.zeros(n, dtype=np.float64)
+            if edges.size:
+                np.add.at(deg, edges[:, 0], 1.0)
+                np.add.at(deg, edges[:, 1], 1.0)
             feats = (deg / max(deg.max(), 1.0)).reshape(n, 1)
         graphs.append(
             Graph(n, edges, feats, None if labels is None else labels[gidx])

@@ -132,13 +132,22 @@ class TestEdgePerturb:
     def test_added_pairs_uniform_dense(self):
         from scipy import stats
 
-        # K8 minus 12 pairs: 12 of 28 pairs are non-edges, the enumerated branch.
+        # K8 minus 12 pairs: most draws hit an edge and are rejected.
         pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
         missing = set(rng(36).permutation(len(pairs))[:12].tolist())
         g = make_graph(8, [p for i, p in enumerate(pairs) if i not in missing])
         counts = self.added_pair_counts(g, 0.25, 3000)
         assert counts.size == 12 and counts.sum() == 4 * 3000
         assert stats.chisquare(counts).pvalue > 0.001
+
+    def test_near_complete_adds_every_non_edge(self):
+        # K10 minus 3 pairs with 5 removals: every one of the 3 non-edges is added.
+        pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+        g = make_graph(10, pairs[3:])
+        for seed in range(20):
+            out = edge_perturb(g, 5 / 42, rng(seed))
+            assert validate(out) == [] and out.num_edges == 42 - 5 + 3
+            assert {tuple(p) for p in out.edges.tolist()} >= set(pairs[:3])
 
     def test_removed_pairs_never_readded_sparse(self):
         r = rng(37)

@@ -66,7 +66,23 @@ class TestCanonicalEdges:
             assert out.shape == (0, 2) and out.dtype == np.int64
 
 
+class TestGraphEdges:
+    def test_unsorted_and_reversed_rows_are_stored_canonically(self):
+        g = make_graph(5, [(3, 1), (0, 4), (2, 0), (1, 2)])
+        assert g.edges.tolist() == [[0, 2], [0, 4], [1, 2], [1, 3]]
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Graph(3, np.array([[0, 1, 2]]), np.zeros((3, 1)))
+
+
 class TestInducedSubgraph:
+    def test_views_of_unsorted_input_are_canonical(self):
+        g = make_graph(6, [(5, 4), (3, 0), (4, 1), (2, 5), (1, 0)])
+        sub = induced_subgraph(g, [0, 1, 4, 5])
+        assert sub.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert sub.edges.tolist() == _canonical_edges(sub.edges).tolist()
+
     def test_triangle_keep_two(self, triangle):
         sub = induced_subgraph(triangle, {0, 1})
         assert sub.num_nodes == 2
