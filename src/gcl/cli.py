@@ -104,7 +104,10 @@ def _write_report(outdir, report):
 def _load_dataset(cfg: RunConfig):
     if not cfg.dataset_path or not cfg.dataset_name:
         raise ConfigError("this command needs [dataset] path and name in the config")
-    dataset = load_tudataset(cfg.dataset_path, cfg.dataset_name, cfg.category)
+    try:
+        dataset = load_tudataset(cfg.dataset_path, cfg.dataset_name, cfg.category)
+    except ValueError as err:
+        raise ConfigError(f"dataset {cfg.dataset_name}: {err}") from err
     log.info(
         "loaded %s: %d graphs, %d classes, feature_dim %d, category %s",
         dataset.name, len(dataset), dataset.num_classes, dataset.feature_dim, dataset.category,
@@ -124,9 +127,19 @@ def _experiment_base(cfg: RunConfig, category: str) -> ExperimentBase:
     )
 
 
+def _load_checkpoint_for(dataset, checkpoint):
+    params = load_checkpoint(checkpoint)
+    if params.feature_dim != dataset.feature_dim:
+        raise ConfigError(
+            f"checkpoint {checkpoint} has feature_dim {params.feature_dim}, "
+            f"dataset {dataset.name} has feature_dim {dataset.feature_dim}"
+        )
+    return params
+
+
 def _params_from_checkpoint_or_random(cfg, dataset, checkpoint):
     if checkpoint:
-        return load_checkpoint(checkpoint)
+        return _load_checkpoint_for(dataset, checkpoint)
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 24)))
     return init_params(cfg.encoder, dataset.feature_dim, dataset.num_classes, rng)
 
@@ -154,7 +167,7 @@ def _cmd_pretrain(cfg, dataset, outdir, runlog, checkpoint):
 def _cmd_finetune(cfg, dataset, outdir, runlog, checkpoint):
     if not checkpoint:
         raise ConfigError("finetune needs --checkpoint (use the scratch command for no pretraining)")
-    params = load_checkpoint(checkpoint)
+    params = _load_checkpoint_for(dataset, checkpoint)
     report = finetune(params, dataset, cfg.split(), cfg.finetune_epochs, cfg.finetune_lr, cfg.finetune_batch)
     _write_report(outdir, report)
     runlog.event("finetuned", mean=report.mean, wall_clock=report.wall_clock)
@@ -284,16 +297,7 @@ def _cmd_loss_compare(cfg, dataset, outdir, runlog, checkpoint):
 
 def _cmd_grad_check(cfg, outdir, runlog):
     report = run_gradient_checks(draws=20, h=1e-5, tol=1e-4, seed=cfg.seed)
-    doc = {
-        "protocol": "grad_check",
-        "draws": report["draws"],
-        "h": report["h"],
-        "tol": report["tol"],
-        "seed": report["seed"],
-        "checks": report["checks"],
-        "passed": report["passed"],
-    }
-    _write_json(os.path.join(outdir, "gradcheck.json"), doc)
+    _write_json(os.path.join(outdir, "gradcheck.json"), {"protocol": "grad_check", **report})
     worst = max(r["max_rel_error"] for r in report["checks"].values())
     status = "PASS" if report["passed"] else "FAIL"
     print(f"grad-check: max relative error {worst:.3e} over {report['draws']} draws -> {status}")
@@ -319,17 +323,17 @@ def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int
     """Run one command against a validated config; returns the exit status."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    start = time.perf_counter()
+    dataset = None if command == "grad-check" else _load_dataset(cfg)
     outdir = cfg.output or os.path.join("runs", command)
     os.makedirs(outdir, exist_ok=True)
     with atomic_open(os.path.join(outdir, "config.effective.ini")) as fh:
         fh.write(cfg.effective_ini())
     runlog = RunLog(os.path.join(outdir, "run.jsonl"))
     runlog.event("start", command=command, version=__version__, seed=cfg.seed)
-    start = time.perf_counter()
-    if command == "grad-check":
+    if dataset is None:
         code = _cmd_grad_check(cfg, outdir, runlog)
     else:
-        dataset = _load_dataset(cfg)
         code = _DATA_COMMANDS[command](cfg, dataset, outdir, runlog, checkpoint)
     runlog.event("done", exit_status=code, wall_clock=time.perf_counter() - start)
     return code

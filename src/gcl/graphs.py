@@ -7,9 +7,12 @@ optional label is a 0-based class index. Adjacency is materialized on demand.
 
 from __future__ import annotations
 
+import io
 import logging
 import os
+import re
 import threading
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -176,9 +179,32 @@ def atomic_open(path):
             os.remove(tmp)
 
 
-def _read_lines(path):
-    with open(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
+# Whitespace-only lines are blank; `np.loadtxt` skips them only when it splits on whitespace.
+_BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
+
+
+def _read_table(path, dtype, width=None, rows=None, delimiter=None) -> np.ndarray:
+    """Parse a TUDataset text file into a 2-D array with one row per non-blank line.
+
+    With ``delimiter=None`` values are separated by commas, whitespace or both.
+    `width` and `rows`, when given, are the required column and row counts.
+    Every error is a ValueError that names the file.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+        text = text.replace(",", " ") if delimiter is None else _BLANK_LINE.sub("", text)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError as err:
+        # Cut numpy's advice to pass `usecols`, which means nothing for a data file.
+        raise ValueError(f"{path}: {str(err).split('; use `usecols`')[0]}") from None
+    if rows is not None and table.shape[0] != rows:
+        raise ValueError(f"{path} has {table.shape[0]} non-blank lines, expected {rows}")
+    if width is not None and table.size and table.shape[1] != width:
+        raise ValueError(f"{path}: expected {width} values per line, got {table.shape[1]}")
+    return table.reshape(-1, width) if width else table
 
 
 def _resolve_file(directory, name, suffix, required=False):
@@ -212,146 +238,100 @@ def load_tudataset(directory: str, name: str, category: str | None = None) -> Gr
     a_path = _resolve_file(directory, name, "A", required=True)
     ind_path = _resolve_file(directory, name, "graph_indicator", required=True)
 
-    indicator = np.array([int(s) for s in _read_lines(ind_path)], dtype=np.int64)
-    total_nodes = indicator.size
-    if total_nodes == 0:
-        raise ValueError(f"{name}_graph_indicator.txt is empty")
-    num_graphs = int(indicator.max())
-    if indicator.min() < 1:
-        raise ValueError("graph indicator ids must be 1-based positive integers")
-
-    # Global 1-based node id -> (graph index, local node index).
-    node_graph = indicator - 1
-    local_index = np.zeros(total_nodes, dtype=np.int64)
-    counts = np.zeros(num_graphs, dtype=np.int64)
-    for i, gidx in enumerate(node_graph):
-        local_index[i] = counts[gidx]
-        counts[gidx] += 1
+    graph_of = _read_table(ind_path, np.int64, width=1)[:, 0] - 1
+    total = graph_of.size
+    if total == 0:
+        raise ValueError(f"{ind_path} is empty")
+    if graph_of.min() < 0:
+        raise ValueError(f"{ind_path}: graph ids must be 1-based positive integers")
+    counts = np.bincount(graph_of)
     if (counts == 0).any():
-        empty = int(np.where(counts == 0)[0][0]) + 1
-        raise ValueError(f"graph {empty} has no nodes in the indicator file")
+        raise ValueError(f"{ind_path}: graph {int(np.argmin(counts)) + 1} has no nodes")
+    # Nodes grouped by graph, in file order within each graph: node order[p]
+    # sits at position p, and graph g holds positions starts[g]:ends[g].
+    order = np.argsort(graph_of, kind="stable")
+    position = np.empty(total, dtype=np.int64)
+    position[order] = np.arange(total)
+    ends = np.cumsum(counts)
+    starts = ends - counts
 
-    edge_sets: list[set] = [set() for _ in range(num_graphs)]
-    dropped_loops = 0
-    for line in _read_lines(a_path):
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line in {name}_A.txt: {line!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (1 <= i <= total_nodes and 1 <= j <= total_nodes):
-            raise ValueError(f"node index out of range in {name}_A.txt: {line!r}")
-        if node_graph[i - 1] != node_graph[j - 1]:
-            raise ValueError(f"edge ({i}, {j}) crosses graph boundaries")
-        if i == j:
-            dropped_loops += 1
-            continue
-        u, v = local_index[i - 1], local_index[j - 1]
-        edge_sets[node_graph[i - 1]].add((min(u, v), max(u, v)))
-    if dropped_loops:
-        log.warning("%s_A.txt: dropped %d self-loop lines", name, dropped_loops)
+    pairs = _read_table(a_path, np.int64, width=2) - 1
+    out = ((pairs < 0) | (pairs >= total)).any(axis=1)
+    if out.any():
+        i, j = pairs[out][0] + 1
+        raise ValueError(f"{a_path}: node index out of range [1, {total}] in edge ({i}, {j})")
+    cross = graph_of[pairs[:, 0]] != graph_of[pairs[:, 1]]
+    if cross.any():
+        i, j = pairs[cross][0] + 1
+        raise ValueError(f"{a_path}: edge ({i}, {j}) crosses graph boundaries")
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        log.warning("%s_A.txt: dropped %d self-loop lines", name, int(loops.sum()))
+    # Both directions of an edge share one (min, max) key; sorted keys group
+    # the edges by graph because positions do.
+    ends_at = np.sort(position[pairs[~loops]], axis=1)
+    lo, hi = np.divmod(np.unique(ends_at[:, 0] * total + ends_at[:, 1]), total)
+    local = np.arange(total) - np.repeat(starts, counts)
+    edges = np.stack([local[lo], local[hi]], axis=1)
+    edge_ends = np.searchsorted(lo, ends)
 
+    labels, num_classes = [None] * counts.size, 0
     labels_path = _resolve_file(directory, name, "graph_labels")
-    labels = None
-    num_classes = 0
     if labels_path:
-        raw = [int(s) for s in _read_lines(labels_path)]
-        if len(raw) != num_graphs:
-            raise ValueError(
-                f"{name}_graph_labels.txt has {len(raw)} lines for {num_graphs} graphs"
-            )
-        classes = sorted(set(raw))
-        num_classes = len(classes)
-        remap = {c: k for k, c in enumerate(classes)}
-        labels = [remap[c] for c in raw]
+        raw = _read_table(labels_path, np.int64, width=1, rows=counts.size)[:, 0]
+        classes, inverse = np.unique(raw, return_inverse=True)
+        labels, num_classes = inverse.tolist(), classes.size
 
-    nl_path = _resolve_file(directory, name, "node_labels")
-    na_path = _resolve_file(directory, name, "node_attributes")
     blocks = []
+    nl_path = _resolve_file(directory, name, "node_labels")
     if nl_path:
-        raw = [int(s) for s in _read_lines(nl_path)]
-        if len(raw) != total_nodes:
-            raise ValueError(
-                f"{name}_node_labels.txt has {len(raw)} lines, indicator lists {total_nodes} nodes"
-            )
-        values = sorted(set(raw))
-        onehot = np.zeros((total_nodes, len(values)), dtype=np.float64)
-        col = {c: k for k, c in enumerate(values)}
-        for i, c in enumerate(raw):
-            onehot[i, col[c]] = 1.0
-        blocks.append(onehot)
+        _, values = np.unique(_read_table(nl_path, np.int64, width=1, rows=total)[:, 0], return_inverse=True)
+        blocks.append(np.eye(values.max() + 1)[values])
+    na_path = _resolve_file(directory, name, "node_attributes")
     if na_path:
-        rows = [[float(x) for x in line.split(",")] for line in _read_lines(na_path)]
-        if len(rows) != total_nodes:
-            raise ValueError(
-                f"{name}_node_attributes.txt has {len(rows)} lines, indicator lists {total_nodes} nodes"
-            )
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ValueError(f"{name}_node_attributes.txt has inconsistent column counts {widths}")
-        blocks.append(np.array(rows, dtype=np.float64))
-    features = np.hstack(blocks) if blocks else None
+        blocks.append(_read_table(na_path, np.float64, rows=total, delimiter=","))
+    if blocks:
+        features = np.hstack(blocks)[order]
+    else:
+        deg = np.bincount(np.concatenate([lo, hi]), minlength=total).astype(np.float64)
+        features = (deg / np.repeat(np.maximum(np.maximum.reduceat(deg, starts), 1.0), counts))[:, None]
 
-    graphs = []
-    node_of_graph: list[list[int]] = [[] for _ in range(num_graphs)]
-    for i, gidx in enumerate(node_graph):
-        node_of_graph[gidx].append(i)
-    for gidx in range(num_graphs):
-        n = int(counts[gidx])
-        edges = _canonical_edges(list(edge_sets[gidx]))
-        if features is not None:
-            feats = features[node_of_graph[gidx]]
-        else:
-            deg = np.zeros(n, dtype=np.float64)
-            if edges.size:
-                np.add.at(deg, edges[:, 0], 1.0)
-                np.add.at(deg, edges[:, 1], 1.0)
-            feats = (deg / max(deg.max(), 1.0)).reshape(n, 1)
-        graphs.append(
-            Graph(n, edges, feats, None if labels is None else labels[gidx])
+    graphs = tuple(
+        Graph(n, e, x, label)
+        for n, e, x, label in zip(
+            counts.tolist(), np.split(edges, edge_ends[:-1]), np.split(features, ends[:-1]), labels
         )
-
-    mean_degree = float(np.mean([degrees(g).mean() if g.num_nodes else 0.0 for g in graphs]))
-    if category is None:
-        category = infer_category(name, features is not None, mean_degree)
-    return GraphDataset(
-        graphs=tuple(graphs),
-        name=name,
-        category=category,
-        num_classes=num_classes,
-        feature_dim=graphs[0].feature_dim,
     )
+    if category is None:
+        mean_degree = float(np.mean(2 * np.diff(edge_ends, prepend=0) / counts))
+        category = infer_category(name, bool(blocks), mean_degree)
+    return GraphDataset(graphs, name, category, num_classes, features.shape[1])
 
 
 def save_tudataset(dataset: GraphDataset, directory: str, name: str | None = None) -> None:
     """Write a dataset back out in TUDataset text format.
 
     Edges are emitted in both directions, features go to the node_attributes
-    file with full float precision, so a reload reproduces the edge sets and
+    file as ``repr(float)`` values, so a reload reproduces the edge sets and
     feature matrices exactly.
     """
     name = name or dataset.name
     os.makedirs(directory, exist_ok=True)
-    offset = 0
-    a_lines, ind_lines, attr_lines = [], [], []
-    labeled = all(g.label is not None for g in dataset.graphs)
-    label_lines = []
-    for gidx, g in enumerate(dataset.graphs):
-        for u, v in g.edges:
-            a_lines.append(f"{offset + u + 1}, {offset + v + 1}")
-            a_lines.append(f"{offset + v + 1}, {offset + u + 1}")
-        ind_lines.extend([str(gidx + 1)] * g.num_nodes)
-        for row in g.node_features:
-            attr_lines.append(",".join(repr(float(x)) for x in row))
-        if labeled:
-            label_lines.append(str(g.label))
-        offset += g.num_nodes
-
-    def _write(suffix, lines):
+    graphs = dataset.graphs
+    counts = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    first_ids = np.cumsum(counts) - counts + 1
+    edges = np.concatenate([np.zeros((0, 2), np.int64)] + [g.edges + i for g, i in zip(graphs, first_ids)])
+    lines = np.stack([edges, edges[:, ::-1]], axis=1).reshape(-1, 2).astype(str)
+    features = np.concatenate([np.zeros((0, dataset.feature_dim))] + [g.node_features for g in graphs])
+    values = np.reshape(list(map(repr, features.ravel().tolist())), features.shape)
+    files = {
+        "A": list(map(", ".join, lines.tolist())),
+        "graph_indicator": np.repeat(np.arange(1, len(graphs) + 1), counts).astype(str).tolist(),
+        "node_attributes": list(map(",".join, values.tolist())),
+    }
+    labels = dataset.labels
+    if (labels >= 0).all():
+        files["graph_labels"] = labels.astype(str).tolist()
+    for suffix, rows in files.items():
         with open(os.path.join(directory, f"{name}_{suffix}.txt"), "w") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
-
-    _write("A", a_lines)
-    _write("graph_indicator", ind_lines)
-    _write("node_attributes", attr_lines)
-    if labeled:
-        _write("graph_labels", label_lines)
+            fh.write("\n".join(rows) + ("\n" if rows else ""))

@@ -53,14 +53,13 @@ class GraphBatch:
     segments: np.ndarray  # node -> graph index, non-decreasing
     num_graphs: int
     node_counts: np.ndarray  # (num_graphs,)
-    labels: np.ndarray  # (num_graphs,), -1 where unlabeled
 
 
 def make_batch(graphs) -> GraphBatch:
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot batch zero graphs")
-    feats, srcs, dsts, segs, labels, counts = [], [], [], [], [], []
+    feats, srcs, dsts, segs, counts = [], [], [], [], []
     offset = 0
     for i, g in enumerate(graphs):
         if g.num_nodes == 0:
@@ -72,7 +71,6 @@ def make_batch(graphs) -> GraphBatch:
         dsts.append(np.concatenate([v, u]))
         segs.append(np.full(g.num_nodes, i, dtype=np.int64))
         counts.append(g.num_nodes)
-        labels.append(-1 if g.label is None else g.label)
         offset += g.num_nodes
     return GraphBatch(
         features=np.vstack(feats).astype(np.float64),
@@ -81,7 +79,6 @@ def make_batch(graphs) -> GraphBatch:
         segments=np.concatenate(segs),
         num_graphs=len(graphs),
         node_counts=np.array(counts, dtype=np.int64),
-        labels=np.array(labels, dtype=np.int64),
     )
 
 
@@ -146,12 +143,31 @@ class ModelParams:
     def reset_classifier(self, num_classes: int, rng: np.random.Generator) -> None:
         for name in [n for n in self.tensors if n.startswith("clf.")]:
             del self.tensors[name]
-        hidden = self.config.hidden_dim
         self.num_classes = num_classes
-        self.tensors["clf.W1"] = Tensor(_glorot(rng, hidden, hidden), requires_grad=True)
-        self.tensors["clf.b1"] = Tensor(np.zeros(hidden), requires_grad=True)
-        self.tensors["clf.W2"] = Tensor(_glorot(rng, hidden, num_classes), requires_grad=True)
-        self.tensors["clf.b2"] = Tensor(np.zeros(num_classes), requires_grad=True)
+        for name, shape in _param_shapes(self.config, self.feature_dim, num_classes).items():
+            if name.startswith("clf."):
+                self.tensors[name] = _init_tensor(shape, rng)
+
+
+def _param_shapes(config: EncoderConfig, feature_dim: int, num_classes: int) -> dict:
+    """Name -> shape of every parameter tensor, in creation order."""
+    h = config.hidden_dim
+    shapes = {}
+    for k in range(config.num_layers):
+        d = feature_dim if k == 0 else h
+        if config.arch == "gcn":
+            shapes[f"enc{k}.W"] = (d, h)
+        else:
+            shapes.update({f"enc{k}.W1": (d, h), f"enc{k}.b1": (h,), f"enc{k}.W2": (h, h), f"enc{k}.b2": (h,)})
+    shapes.update({"proj.W1": (h, h), "proj.W2": (h, h)})
+    if num_classes >= 1:
+        shapes.update({"clf.W1": (h, h), "clf.b1": (h,), "clf.W2": (h, num_classes), "clf.b2": (num_classes,)})
+    return shapes
+
+
+def _init_tensor(shape, rng) -> Tensor:
+    """Glorot-uniform weight matrix or zero bias vector."""
+    return Tensor(_glorot(rng, *shape) if len(shape) == 2 else np.zeros(shape), requires_grad=True)
 
 
 def init_params(
@@ -160,24 +176,10 @@ def init_params(
     num_classes: int,
     rng: np.random.Generator,
 ) -> ModelParams:
-    tensors: "OrderedDict[str, Tensor]" = OrderedDict()
-    hidden = config.hidden_dim
-    in_dim = feature_dim
-    for k in range(config.num_layers):
-        if config.arch == "gcn":
-            tensors[f"enc{k}.W"] = Tensor(_glorot(rng, in_dim, hidden), requires_grad=True)
-        else:
-            tensors[f"enc{k}.W1"] = Tensor(_glorot(rng, in_dim, hidden), requires_grad=True)
-            tensors[f"enc{k}.b1"] = Tensor(np.zeros(hidden), requires_grad=True)
-            tensors[f"enc{k}.W2"] = Tensor(_glorot(rng, hidden, hidden), requires_grad=True)
-            tensors[f"enc{k}.b2"] = Tensor(np.zeros(hidden), requires_grad=True)
-        in_dim = hidden
-    tensors["proj.W1"] = Tensor(_glorot(rng, hidden, hidden), requires_grad=True)
-    tensors["proj.W2"] = Tensor(_glorot(rng, hidden, hidden), requires_grad=True)
-    params = ModelParams(config, feature_dim, num_classes, tensors)
-    if num_classes >= 1:
-        params.reset_classifier(num_classes, rng)
-    return params
+    tensors = OrderedDict(
+        (name, _init_tensor(shape, rng)) for name, shape in _param_shapes(config, feature_dim, num_classes).items()
+    )
+    return ModelParams(config, feature_dim, num_classes, tensors)
 
 
 def encode(batch: GraphBatch, params: ModelParams) -> Tensor:
@@ -261,14 +263,24 @@ def save_checkpoint(params: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read a checkpoint whose tensors must match the layout of its own encoder config."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path} is not a {CHECKPOINT_FORMAT} file")
     config = EncoderConfig(**doc["encoder"])
+    feature_dim, num_classes = int(doc["feature_dim"]), int(doc["num_classes"])
     tensors: "OrderedDict[str, Tensor]" = OrderedDict()
     for entry in doc["tensors"]:
         raw = base64.b64decode(entry["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(entry["shape"])
         tensors[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-    return ModelParams(config, int(doc["feature_dim"]), int(doc["num_classes"]), tensors)
+    stored = {name: t.data.shape for name, t in tensors.items()}
+    expected = _param_shapes(config, feature_dim, num_classes)
+    for name in {**expected, **stored}:
+        if stored.get(name) != expected.get(name):
+            raise ValueError(
+                f"{path}: tensor {name} has shape {stored.get(name)}, but {config.arch} with "
+                f"feature_dim {feature_dim} and {num_classes} classes needs {expected.get(name)}"
+            )
+    return ModelParams(config, feature_dim, num_classes, tensors)

@@ -285,6 +285,36 @@ class TestCLI:
                      "--output", str(tmp_path / "z")])
         assert code == 2
 
+    @pytest.mark.parametrize("suffix, text", [
+        ("A", "1, 2, 3\n"),  # three fields on an edge line
+        ("graph_indicator", "1\n1\n3\n"),  # graph id 2 has no nodes
+        ("graph_indicator", "1\nx\n"),  # not a number
+    ])
+    def test_malformed_dataset_file_is_exit_1(self, tmp_path, capsys, suffix, text):
+        data = tmp_path / "data"
+        data.mkdir()
+        files = {"A": "1, 2\n2, 1\n", "graph_indicator": "1\n1\n", suffix: text}
+        for key, body in files.items():
+            (data / f"SYN_{key}.txt").write_text(body)
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", config_file(tmp_path, str(data)), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "dataset SYN" in err and f"SYN_{suffix}.txt" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "embed", "probe"])
+    def test_checkpoint_feature_dim_mismatch_is_exit_1(self, tmp_path, corpus_dir, capsys, command):
+        ckpt = str(tmp_path / "three.json")
+        encoder = gcl.EncoderConfig(arch="gin", hidden_dim=8, num_layers=2)
+        gcl.save_checkpoint(gcl.init_params(encoder, 3, 2, np.random.default_rng(0)), ckpt)
+        out = tmp_path / "out"
+        code = main([command, "--config", config_file(tmp_path, corpus_dir), "--checkpoint", ckpt,
+                     "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "three.json" in err and "feature_dim 3" in err and "feature_dim 2" in err
+        assert not (out / "metrics.json").exists() and not (out / "embeddings.csv").exists()
+
     def test_grad_check_passes_without_config(self, tmp_path, capsys):
         assert main(["grad-check", "--output", str(tmp_path / "gc")]) == 0
         assert "PASS" in capsys.readouterr().out

@@ -1,3 +1,6 @@
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from gcl.graphs import (
     Graph,
+    GraphDataset,
     _canonical_edges,
     degrees,
     induced_subgraph,
@@ -13,6 +17,7 @@ from gcl.graphs import (
     save_tudataset,
     validate,
 )
+from gcl.synth import make_corpus
 
 from conftest import make_graph
 
@@ -27,6 +32,25 @@ def write_minimal_corpus(directory):
     (directory / "TWOTRI_graph_indicator.txt").write_text("1\n1\n1\n2\n2\n2\n")
     (directory / "TWOTRI_graph_labels.txt").write_text("0\n1\n")
     (directory / "TWOTRI_node_labels.txt").write_text("7\n9\n7\n9\n9\n7\n")
+
+
+def write_files(directory, name="X", **files):
+    """Write NAME_<suffix>.txt for every suffix=text pair."""
+    for suffix, text in files.items():
+        (directory / f"{name}_{suffix}.txt").write_text(text)
+
+
+def assert_same_dataset(a, b):
+    assert (len(a), a.category, a.num_classes, a.feature_dim) == (len(b), b.category, b.num_classes, b.feature_dim)
+    for x, y in zip(a.graphs, b.graphs):
+        assert x.num_nodes == y.num_nodes
+        assert x.edges.tolist() == y.edges.tolist()
+        assert x.node_features.tobytes() == y.node_features.tobytes()
+        assert x.node_features.shape == y.node_features.shape
+        assert x.label == y.label
+
+
+FIXTURES = Path(__file__).parent / "data"
 
 
 class TestDegree:
@@ -197,7 +221,8 @@ class TestLoader:
         assert ds.feature_dim == 1
         assert ds[0].node_features.ravel().tolist() == [0.5, 1.0, 0.5]
 
-    def test_roundtrip(self, tmp_path):
+    @staticmethod
+    def roundtrip(tmp_path, labeled):
         rng = np.random.default_rng(11)
         graphs = []
         for i in range(6):
@@ -205,13 +230,126 @@ class TestLoader:
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             take = [pairs[k] for k in rng.permutation(len(pairs))[: rng.integers(1, len(pairs) + 1)]]
             graphs.append(make_graph(n, sorted(take), label=i % 2, feature_dim=3, rng=rng))
-        from gcl.graphs import GraphDataset
-
-        ds = GraphDataset(tuple(graphs), "RT", "synthetic", 2, 3)
+        graphs.append(make_graph(4, [(0, 1), (1, 2)], label=0, feature_dim=3, rng=rng))  # node 3 isolated
+        graphs.append(make_graph(3, [], label=1, feature_dim=3, rng=rng))  # no edges at all
+        graphs.append(make_graph(1, [], label=0, feature_dim=3, rng=rng))
+        if not labeled:
+            graphs = [Graph(g.num_nodes, g.edges, g.node_features) for g in graphs]
+        ds = GraphDataset(tuple(graphs), "RT", "synthetic", 2 if labeled else 0, 3)
         save_tudataset(ds, str(tmp_path / "out"))
+        assert (tmp_path / "out" / "RT_graph_labels.txt").exists() == labeled
         reloaded = load_tudataset(str(tmp_path / "out"), "RT", category="synthetic")
-        assert len(reloaded) == len(ds)
-        for a, b in zip(ds.graphs, reloaded.graphs):
-            assert a.edges.tolist() == b.edges.tolist()
-            assert np.array_equal(a.node_features, b.node_features)
-            assert a.label == b.label
+        assert_same_dataset(ds, reloaded)
+
+    def test_roundtrip(self, tmp_path):
+        self.roundtrip(tmp_path, labeled=True)
+
+    def test_roundtrip_unlabeled(self, tmp_path):
+        self.roundtrip(tmp_path, labeled=False)
+
+    def test_save_bytes_match_fixture(self, tmp_path):
+        ds = make_corpus(6, families=("cycle", "star", "clique"), size_range=(3, 6), seed=7, name="FIX")
+        save_tudataset(ds, str(tmp_path))
+        expected = sorted(FIXTURES.glob("FIX_*.txt"))
+        assert [p.name for p in expected] == sorted(p.name for p in tmp_path.iterdir())
+        for path in expected:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("text", ["1, 2\n2, 1, 2\n", "1, 2, 1\n", "1\n"])
+    def test_edge_line_without_two_fields_rejected(self, tmp_path, text):
+        write_files(tmp_path, A=text, graph_indicator="1\n1\n")
+        with pytest.raises(ValueError, match="X_A.txt"):
+            load_tudataset(str(tmp_path), "X")
+
+    def test_edge_crossing_graphs_rejected(self, tmp_path):
+        write_files(tmp_path, A="1, 2\n2, 1\n2, 3\n3, 2\n", graph_indicator="1\n1\n2\n")
+        with pytest.raises(ValueError, match="crosses graph boundaries"):
+            load_tudataset(str(tmp_path), "X")
+
+    def test_self_loop_lines_dropped_with_count(self, tmp_path, caplog):
+        write_files(tmp_path, A="1, 1\n1, 2\n2, 1\n2, 2\n1, 1\n3, 3\n", graph_indicator="1\n1\n2\n")
+        with caplog.at_level(logging.WARNING, logger="gcl.graphs"):
+            ds = load_tudataset(str(tmp_path), "X", category="synthetic")
+        assert [g.edges.tolist() for g in ds.graphs] == [[[0, 1]], []]
+        assert "X_A.txt: dropped 4 self-loop lines" in caplog.text
+
+    def test_indicator_gap_rejected(self, tmp_path):
+        write_files(tmp_path, A="1, 2\n2, 1\n", graph_indicator="1\n1\n3\n")
+        with pytest.raises(ValueError, match="graph 2 has no nodes"):
+            load_tudataset(str(tmp_path), "X")
+
+    def test_indicator_must_be_one_based(self, tmp_path):
+        write_files(tmp_path, A="", graph_indicator="0\n1\n")
+        with pytest.raises(ValueError, match="1-based"):
+            load_tudataset(str(tmp_path), "X")
+
+    def test_empty_indicator_rejected(self, tmp_path):
+        write_files(tmp_path, A="", graph_indicator="\n  \n")
+        with pytest.raises(ValueError, match="empty"):
+            load_tudataset(str(tmp_path), "X")
+
+    @pytest.mark.parametrize("suffix", ["A", "graph_indicator", "graph_labels", "node_labels", "node_attributes"])
+    def test_non_numeric_value_rejected(self, tmp_path, suffix):
+        files = {
+            "A": "1, 2\n2, 1\n",
+            "graph_indicator": "1\n1\n",
+            "graph_labels": "1\n",
+            "node_labels": "0\n1\n",
+            "node_attributes": "0.5\n1.5\n",
+        }
+        write_files(tmp_path, **files)
+        load_tudataset(str(tmp_path), "X")  # well-formed as written
+        files[suffix] = files[suffix].replace("1", "x", 1)
+        write_files(tmp_path, **files)
+        with pytest.raises(ValueError):
+            load_tudataset(str(tmp_path), "X")
+
+    def test_inconsistent_attribute_widths_rejected(self, tmp_path):
+        write_files(tmp_path, A="", graph_indicator="1\n1\n", node_attributes="0.5, 1.0\n2.0\n")
+        with pytest.raises(ValueError, match="node_attributes.txt.*column"):
+            load_tudataset(str(tmp_path), "X")
+
+    def test_graph_label_count_mismatch_rejected(self, tmp_path):
+        write_files(tmp_path, A="", graph_indicator="1\n2\n", graph_labels="0\n")
+        with pytest.raises(ValueError, match="graph_labels.txt"):
+            load_tudataset(str(tmp_path), "X")
+
+    def test_non_contiguous_graph_labels_remapped(self, tmp_path):
+        write_files(tmp_path, A="", graph_indicator="1\n2\n3\n", graph_labels="1\n-1\n1\n")
+        ds = load_tudataset(str(tmp_path), "X", category="synthetic")
+        assert ds.num_classes == 2
+        assert [g.label for g in ds.graphs] == [1, 0, 1]
+        assert all(type(g.label) is int for g in ds.graphs)
+
+    def test_interleaved_indicator_keeps_file_order(self, tmp_path):
+        write_files(
+            tmp_path,
+            A="1, 5\n5, 1\n2, 4\n4, 2\n3, 5\n5, 3\n",
+            graph_indicator="1\n2\n1\n2\n1\n",
+            node_labels="0\n1\n2\n3\n4\n",
+        )
+        ds = load_tudataset(str(tmp_path), "X", category="synthetic")
+        assert [g.num_nodes for g in ds.graphs] == [3, 2]
+        assert ds[0].edges.tolist() == [[0, 2], [1, 2]]  # nodes 1, 3, 5 -> 0, 1, 2
+        assert ds[1].edges.tolist() == [[0, 1]]
+        assert ds[0].node_features.argmax(axis=1).tolist() == [0, 2, 4]
+        assert ds[1].node_features.argmax(axis=1).tolist() == [1, 3]
+
+    def test_blank_lines_and_separators(self, tmp_path):
+        tidy, messy = tmp_path / "tidy", tmp_path / "messy"
+        tidy.mkdir()
+        messy.mkdir()
+        write_files(tidy, A="1, 2\n2, 1\n2, 3\n3, 2\n", graph_indicator="1\n1\n1\n2\n",
+                    graph_labels="0\n1\n", node_attributes="0.5,1.0\n2.0,3.0\n4.0,5.0\n6.0,7.0\n")
+        write_files(messy, A="1 2\n  \n2\t1\n\n2,3\n 3 ,2 ", graph_indicator="1\n \n1\n1\n\n2\n",
+                    graph_labels="\t\n0\n1\n", node_attributes="0.5,1\n   \n 2.0 , 3\n4,5\n6.0,7.0\n\n")
+        assert_same_dataset(load_tudataset(str(tidy), "X", "synthetic"), load_tudataset(str(messy), "X", "synthetic"))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_edge_file(self, tmp_path, text):
+        write_files(tmp_path, A=text, graph_indicator="1\n1\n2\n")
+        ds = load_tudataset(str(tmp_path), "X")
+        assert [g.num_nodes for g in ds.graphs] == [2, 1]
+        assert [g.num_edges for g in ds.graphs] == [0, 0]
+        assert [g.node_features.tolist() for g in ds.graphs] == [[[0.0], [0.0]], [[0.0]]]
+        assert ds.category == "social-sparse" and ds.num_classes == 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -217,6 +219,20 @@ class TestCheckpoint:
         save_checkpoint(params, a)
         save_checkpoint(params, b)
         assert open(a).read() == open(b).read()
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc.update(feature_dim=5), "enc0.W1"),  # stored (3, 5), layout wants (5, 5)
+        (lambda doc: doc["tensors"].pop(), "clf.b2"),
+        (lambda doc: doc["encoder"].update(num_layers=1), "enc1.W1"),
+    ])
+    def test_rejects_tensors_off_the_layout(self, tmp_path, edit, match):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_params(EncoderConfig(arch="gin", hidden_dim=5), 3, 2, np.random.default_rng(0)), str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"ckpt.json.*{match}"):
+            load_checkpoint(str(path))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bogus.json"
