@@ -317,12 +317,15 @@ _DATA_COMMANDS = {
     "loss-compare": _cmd_loss_compare,
 }
 COMMANDS = (*_DATA_COMMANDS, "grad-check")
+CHECKPOINT_COMMANDS = ("finetune", "embed", "probe")
 
 
 def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int:
     """Run one command against a validated config; returns the exit status."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    if checkpoint is not None and command not in CHECKPOINT_COMMANDS:
+        raise ConfigError(f"{command} does not read --checkpoint (only {', '.join(CHECKPOINT_COMMANDS)} do)")
     start = time.perf_counter()
     dataset = None if command == "grad-check" else _load_dataset(cfg)
     outdir = cfg.output or os.path.join("runs", command)

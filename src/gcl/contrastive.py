@@ -82,9 +82,10 @@ def cosine_sim(a, b) -> float:
 def nt_xent(z_i: Tensor, z_j: Tensor, temperature: float, variant: str = "exclusive") -> Tensor:
     """Temperature-scaled contrastive loss over a minibatch of paired views.
 
-    Row n of z_i and z_j is the positive pair; negatives for anchor n are the
-    other N-1 rows of z_j. The exclusive variant drops the positive term from
-    the denominator, the inclusive variant keeps it.
+    A softmax cross-entropy over cosine similarities / temperature whose target
+    is the positive pair: row n of z_i and z_j. Negatives for anchor n are the
+    other N-1 rows of z_j. The exclusive variant leaves the positive term out
+    of the denominator, the inclusive variant keeps it.
     """
     if variant not in LOSS_VARIANTS:
         raise ValueError(f"variant must be one of {LOSS_VARIANTS}")
@@ -95,22 +96,7 @@ def nt_xent(z_i: Tensor, z_j: Tensor, temperature: float, variant: str = "exclus
         raise ValueError(f"shape mismatch: {z_i.data.shape} vs {z_j.data.shape}")
     sim = T.matmul(T.row_l2_normalize(z_i), T.transpose(T.row_l2_normalize(z_j)))
     sim = T.mul_scalar(sim, 1.0 / temperature)
-    mask = np.ones((n, n))
-    if variant == "exclusive":
-        np.fill_diagonal(mask, 0.0)
-    mask_t = Tensor(mask)
-    # Stable log-sum-exp over the included entries: zero out excluded entries
-    # before exp (blocks their gradient too) and shift by the included row max.
-    masked_sim = T.mul(sim, mask_t)
-    row_max = np.where(mask > 0.0, sim.data, -np.inf).max(axis=1, keepdims=True)
-    offset = np.where(mask > 0.0, -row_max, 0.0)
-    expd = T.exp(T.add(masked_sim, Tensor(offset)))
-    denom = T.sum(T.mul(expd, mask_t), axis=1, keepdims=True)
-    log_denom = T.add(T.log(denom), Tensor(row_max))
-    eye = np.eye(n)
-    positive = T.sum(T.mul(sim, Tensor(eye)), axis=1, keepdims=True)
-    per_pair = T.add(log_denom, T.mul_scalar(positive, -1.0))
-    return T.mul_scalar(T.sum(per_pair), 1.0 / n)
+    return T.cross_entropy(sim, np.arange(n), exclude_target=variant == "exclusive")
 
 
 def contrastive_loss(z_i: Tensor, z_j: Tensor, config: PretrainConfig) -> Tensor:

@@ -1,6 +1,7 @@
 """Finite-difference verification of every composite gradient the trainer
 relies on: GCN layer, GIN layer, projection head, classifier head with
-cross-entropy, and the contrastive loss in both variants.
+cross-entropy, the contrastive loss in both variants, and the whole
+pretraining graph end to end (encode -> project -> contrastive loss).
 
 Each check draws random inputs/parameters, contracts the composite's output
 with a fixed random probe matrix to get a scalar, and compares analytic
@@ -9,51 +10,53 @@ gradients against central differences via `finite_diff_check`.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from . import tensor as T
-from .contrastive import nt_xent
+from .contrastive import LOSS_VARIANTS, PretrainConfig, contrastive_loss, nt_xent
 from .graphs import Graph
-from .model import cross_entropy, gcn_layer, gin_layer, make_batch
+from .model import ARCHS, EncoderConfig, classify, encode, gcn_layer, gin_layer, init_params, make_batch, project
 from .tensor import Tensor, finite_diff_check
 
 HIDDEN = 4
 FEATURE_DIM = 3
 
 
-def _random_batch(rng, num_graphs=2, feature_dim=FEATURE_DIM):
+def _random_batch(rng, num_graphs=2, max_nodes=6):
     graphs = []
     for _ in range(num_graphs):
-        n = int(rng.integers(4, 7))
+        n = int(rng.integers(4, max_nodes + 1))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         count = int(rng.integers(n - 1, len(pairs) + 1))
         take = rng.permutation(len(pairs))[:count]
         edges = np.asarray(sorted(pairs[i] for i in take), dtype=np.int64)
-        graphs.append(Graph(n, edges, rng.normal(size=(n, feature_dim))))
+        graphs.append(Graph(n, edges, rng.normal(size=(n, FEATURE_DIM))))
     return make_batch(graphs)
+
+
+def _draw(rng, *shapes, scale=1.0):
+    """One normal parameter tensor per shape, in order."""
+    return [Tensor(scale * rng.normal(size=shape), requires_grad=True) for shape in shapes]
 
 
 def check_gcn_layer(rng, h=1e-5, tol=1e-4):
     batch = _random_batch(rng)
     x = Tensor(batch.features)
-    w = Tensor(rng.normal(size=(FEATURE_DIM, HIDDEN)), requires_grad=True)
+    w = _draw(rng, (FEATURE_DIM, HIDDEN))
     probe = Tensor(rng.normal(size=(batch.features.shape[0], HIDDEN)))
 
     def f(params):
         return T.sum(T.mul(gcn_layer(x, batch, params[0]), probe))
 
-    return finite_diff_check(f, [w], h=h, tol=tol)
+    return finite_diff_check(f, w, h=h, tol=tol)
 
 
 def check_gin_layer(rng, h=1e-5, tol=1e-4):
     batch = _random_batch(rng)
     x = Tensor(batch.features)
-    params = [
-        Tensor(rng.normal(size=(FEATURE_DIM, HIDDEN)), requires_grad=True),
-        Tensor(rng.normal(size=HIDDEN), requires_grad=True),
-        Tensor(rng.normal(size=(HIDDEN, HIDDEN)), requires_grad=True),
-        Tensor(rng.normal(size=HIDDEN), requires_grad=True),
-    ]
+    params = _draw(rng, (FEATURE_DIM, HIDDEN), HIDDEN, (HIDDEN, HIDDEN), HIDDEN)
     probe = Tensor(rng.normal(size=(batch.features.shape[0], HIDDEN)))
 
     def f(ps):
@@ -65,14 +68,12 @@ def check_gin_layer(rng, h=1e-5, tol=1e-4):
 def check_projection_head(rng, h=1e-5, tol=1e-4):
     rows = int(rng.integers(3, 6))
     x = Tensor(rng.normal(size=(rows, HIDDEN)))
-    params = [
-        Tensor(rng.normal(size=(HIDDEN, HIDDEN)), requires_grad=True),
-        Tensor(rng.normal(size=(HIDDEN, HIDDEN)), requires_grad=True),
-    ]
+    params = _draw(rng, (HIDDEN, HIDDEN), (HIDDEN, HIDDEN))
     probe = Tensor(rng.normal(size=(rows, HIDDEN)))
+    head = SimpleNamespace(tensors={"proj.W1": params[0], "proj.W2": params[1]})  # all `project` reads
 
     def f(ps):
-        return T.sum(T.mul(T.matmul(T.relu(T.matmul(x, ps[0])), ps[1]), probe))
+        return T.sum(T.mul(project(x, head), probe))
 
     return finite_diff_check(f, params, h=h, tol=tol)
 
@@ -85,33 +86,56 @@ def check_classifier_head(rng, h=1e-5, tol=1e-4):
     rows, classes = int(rng.integers(3, 6)), 3
     x = Tensor(0.5 * rng.normal(size=(rows, HIDDEN)))
     labels = rng.integers(0, classes, size=rows)
-    params = [
-        Tensor(0.5 * rng.normal(size=(HIDDEN, HIDDEN)), requires_grad=True),
-        Tensor(0.5 * rng.normal(size=HIDDEN), requires_grad=True),
-        Tensor(0.5 * rng.normal(size=(HIDDEN, classes)), requires_grad=True),
-        Tensor(0.5 * rng.normal(size=classes), requires_grad=True),
-    ]
+    params = _draw(rng, (HIDDEN, HIDDEN), HIDDEN, (HIDDEN, classes), classes, scale=0.5)
+    head = SimpleNamespace(tensors=dict(zip(("clf.W1", "clf.b1", "clf.W2", "clf.b2"), params)))
 
     def f(ps):
-        hidden = T.relu(T.add(T.matmul(x, ps[0]), ps[1]))
-        logits = T.add(T.matmul(hidden, ps[2]), ps[3])
-        return cross_entropy(logits, labels)
+        return T.cross_entropy(classify(x, head), labels)
 
     return finite_diff_check(f, params, h=h, tol=tol)
 
 
 def check_nt_xent(rng, variant, h=1e-5, tol=1e-4):
     n, d = int(rng.integers(3, 6)), 5
-    params = [
-        Tensor(rng.normal(size=(n, d)), requires_grad=True),
-        Tensor(rng.normal(size=(n, d)), requires_grad=True),
-    ]
+    params = _draw(rng, (n, d), (n, d))
     temperature = float(rng.uniform(0.2, 1.0))
 
     def f(ps):
         return nt_xent(ps[0], ps[1], temperature, variant)
 
     return finite_diff_check(f, params, h=h, tol=tol)
+
+
+def check_end_to_end(rng, h=1e-5, tol=1e-4):
+    """encode -> project -> contrastive_loss on two random batches of paired views.
+
+    NT-Xent ignores each projected row's scale, so in a net this small some
+    parameter often only rescales rows: a zero gradient that central
+    differences read as roundoff. A probe contraction of the projections, as
+    in the layer checks, lifts every live parameter's gradient above that.
+    Small batches keep ReLU inputs that sit within h of their kink rare.
+    """
+    arch = ARCHS[rng.integers(len(ARCHS))]
+    params = init_params(EncoderConfig(arch=arch, num_layers=2, hidden_dim=HIDDEN), FEATURE_DIM, 0, rng)
+    scale = 0.5 if arch == "gin" else 1.0  # GIN sums neighbours and multiplies twice per layer
+    for t in params.tensors.values():
+        t.data = scale * rng.normal(size=t.data.shape)
+    num_graphs = int(rng.integers(2, 4))
+    batch_i, batch_j = (_random_batch(rng, num_graphs, max_nodes=5) for _ in range(2))
+    probe_i, probe_j = (Tensor(rng.normal(size=(num_graphs, HIDDEN))) for _ in range(2))
+    pretrain_config = PretrainConfig(
+        temperature=float(rng.uniform(0.2, 1.0)),
+        loss_variant=LOSS_VARIANTS[rng.integers(len(LOSS_VARIANTS))],
+        symmetric=bool(rng.integers(2)),
+    )
+
+    def f(ps):
+        z_i = project(encode(batch_i, params), params)
+        z_j = project(encode(batch_j, params), params)
+        probed = T.add(T.sum(T.mul(z_i, probe_i)), T.sum(T.mul(z_j, probe_j)))
+        return T.add(contrastive_loss(z_i, z_j, pretrain_config), probed)
+
+    return finite_diff_check(f, params.encoder_and_projection(), h=h, tol=tol)
 
 
 CHECKS = {
@@ -121,6 +145,7 @@ CHECKS = {
     "classifier_head": check_classifier_head,
     "nt_xent_exclusive": lambda rng, h=1e-5, tol=1e-4: check_nt_xent(rng, "exclusive", h, tol),
     "nt_xent_inclusive": lambda rng, h=1e-5, tol=1e-4: check_nt_xent(rng, "inclusive", h, tol),
+    "end_to_end": check_end_to_end,
 }
 
 

@@ -183,6 +183,11 @@ def atomic_open(path):
 _BLANK_LINE = re.compile(r"^[^\S\n]+$", re.MULTILINE)
 
 
+def _file_line(text, row) -> int:
+    """1-based line number in `text` of its 0-based non-blank line `row`."""
+    return [i for i, line in enumerate(text.split("\n"), 1) if line.strip()][row]
+
+
 def _read_table(path, dtype, width=None, rows=None, delimiter=None) -> np.ndarray:
     """Parse a TUDataset text file into a 2-D array with one row per non-blank line.
 
@@ -198,12 +203,17 @@ def _read_table(path, dtype, width=None, rows=None, delimiter=None) -> np.ndarra
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(io.StringIO(text), dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError as err:
-        # Cut numpy's advice to pass `usecols`, which means nothing for a data file.
-        raise ValueError(f"{path}: {str(err).split('; use `usecols`')[0]}") from None
+        # Cut numpy's advice to pass `usecols`, which means nothing for a data file. numpy counts
+        # non-blank rows, from 0 for a value that does not parse and from 1 for a wrong column count.
+        message = str(err).split("; use `usecols`")[0]
+        first = 1 if message.startswith("the number of columns") else 0
+        message = re.sub(r" at row (\d+)", lambda m: f" on line {_file_line(text, int(m[1]) - first)}", message)
+        raise ValueError(f"{path}: {message}") from None
     if rows is not None and table.shape[0] != rows:
         raise ValueError(f"{path} has {table.shape[0]} non-blank lines, expected {rows}")
     if width is not None and table.size and table.shape[1] != width:
-        raise ValueError(f"{path}: expected {width} values per line, got {table.shape[1]}")
+        line = _file_line(text, 0)
+        raise ValueError(f"{path}: expected {width} values per line, got {table.shape[1]} on line {line}")
     return table.reshape(-1, width) if width else table
 
 

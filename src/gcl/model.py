@@ -190,15 +190,8 @@ def encode(batch: GraphBatch, params: ModelParams) -> Tensor:
         if cfg.arch == "gcn":
             h = gcn_layer(h, batch, params.tensors[f"enc{k}.W"])
         else:
-            h = gin_layer(
-                h,
-                batch,
-                params.tensors[f"enc{k}.W1"],
-                params.tensors[f"enc{k}.b1"],
-                params.tensors[f"enc{k}.W2"],
-                params.tensors[f"enc{k}.b2"],
-                eps=cfg.gin_eps,
-            )
+            mlp = (params.tensors[f"enc{k}.{name}"] for name in ("W1", "b1", "W2", "b2"))
+            h = gin_layer(h, batch, *mlp, eps=cfg.gin_eps)
     pooled = T.segment_sum(h, batch.segments, batch.num_graphs)
     if cfg.readout == "mean":
         pooled = T.mul(pooled, Tensor(1.0 / batch.node_counts.astype(np.float64)[:, None]))
@@ -214,22 +207,6 @@ def classify(h: Tensor, params: ModelParams) -> Tensor:
     """Two-layer MLP from graph embeddings to class logits."""
     hidden = T.relu(T.add(T.matmul(h, params.tensors["clf.W1"]), params.tensors["clf.b1"]))
     return T.add(T.matmul(hidden, params.tensors["clf.W2"]), params.tensors["clf.b2"])
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy of integer labels, stable via row-max shift."""
-    labels = np.asarray(labels, dtype=np.int64)
-    n, c = logits.data.shape
-    if labels.shape[0] != n:
-        raise ValueError("label count must match logit rows")
-    row_max = logits.data.max(axis=1, keepdims=True)
-    shifted = T.add(logits, Tensor(-row_max))
-    lse = T.add(T.log(T.sum(T.exp(shifted), axis=1, keepdims=True)), Tensor(row_max))
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), labels] = 1.0
-    true_logit = T.sum(T.mul(logits, Tensor(onehot)), axis=1, keepdims=True)
-    per_example = T.add(lse, T.mul_scalar(true_logit, -1.0))
-    return T.mul_scalar(T.sum(per_example), 1.0 / n)
 
 
 def accuracy(logits: np.ndarray, labels) -> float:

@@ -27,7 +27,6 @@ from .model import (
     ModelParams,
     accuracy,
     classify,
-    cross_entropy,
     encode,
     init_params,
     make_batch,
@@ -117,7 +116,7 @@ def _train_supervised(params: ModelParams, dataset, train_idx, epochs, lr, batch
             idx = order[start : start + batch_size]
             batch = make_batch([dataset[int(i)] for i in idx])
             logits = classify(encode(batch, params), params)
-            loss = cross_entropy(logits, labels[idx])
+            loss = T.cross_entropy(logits, labels[idx])
             optimizer.zero_grad()
             backward(loss)
             optimizer.step()
@@ -212,7 +211,7 @@ def _fit_logreg(x, y, num_classes, l2, steps=300, lr=0.1):
     for _ in range(steps):
         logits = T.add(T.matmul(xt, w), b)
         penalty = T.mul_scalar(T.sum(T.mul(w, w)), l2 / (2.0 * n))
-        loss = T.add(cross_entropy(logits, y), penalty)
+        loss = T.add(T.cross_entropy(logits, y), penalty)
         optimizer.zero_grad()
         backward(loss)
         optimizer.step()
@@ -281,6 +280,12 @@ class ExperimentBase:
     finetune_batch: int = 32
     workers: int = 1
 
+    def scratch(self, dataset, split: SplitSpec | None = None) -> EvalReport:
+        """The train-from-scratch baseline under this recipe's finetune settings."""
+        return train_from_scratch(
+            dataset, split or self.split, self.finetune_epochs, self.finetune_lr, self.encoder, self.finetune_batch
+        )
+
 
 def _single_pool(kind: str, ratio: float, alpha: float = 0.0) -> AugmentationPool:
     return AugmentationPool(specs=(AugmentationSpec(kind=kind, ratio=ratio, alpha=alpha),))
@@ -325,9 +330,7 @@ def aug_grid(dataset: GraphDataset, kinds, base: ExperimentBase, ratio: float = 
     labels = list(dict.fromkeys(kinds))
     if "Identity" not in labels:
         labels.append("Identity")
-    scratch = train_from_scratch(
-        dataset, base.split, base.finetune_epochs, base.finetune_lr, base.encoder, base.finetune_batch
-    )
+    scratch = base.scratch(dataset)
     cells = [(a, b) for a in range(len(labels)) for b in range(a, len(labels))]
     jobs = [
         (lambda a=a, b=b: _cell(
@@ -362,12 +365,7 @@ class SweepPoint:
 
 def _sweep(dataset, base: ExperimentBase, points, pool_for_point, seeds):
     seeds = tuple(seeds)
-    scratch = {}
-    for s in seeds:
-        split = replace(base.split, seed=s)
-        scratch[s] = train_from_scratch(
-            dataset, split, base.finetune_epochs, base.finetune_lr, base.encoder, base.finetune_batch
-        ).mean
+    scratch = {s: base.scratch(dataset, replace(base.split, seed=s)).mean for s in seeds}
     identity = _single_pool("Identity", 0.0)
 
     def job(value, s):
@@ -377,16 +375,11 @@ def _sweep(dataset, base: ExperimentBase, points, pool_for_point, seeds):
 
     jobs = [(lambda v=v, s=s: job(v, s)) for v in points for s in seeds]
     results = _run_cells(jobs, base.workers)
+    means = iter(report.mean for report, _ in results)
     rows = []
-    i = 0
     for value in points:
-        accs, gains = [], []
-        for s in seeds:
-            report, _ = results[i]
-            i += 1
-            accs.append(report.mean)
-            gains.append(report.mean - scratch[s])
-        rows.append(SweepPoint(float(value), tuple(accs), tuple(gains)))
+        accs = tuple(next(means) for _ in seeds)
+        rows.append(SweepPoint(float(value), accs, tuple(a - scratch[s] for a, s in zip(accs, seeds))))
     return rows
 
 
@@ -427,13 +420,8 @@ def loss_curve_compare(
         raise ValueError("need at least two pairs to compare")
 
     def job(kind_a, kind_b):
-        cfg = replace(
-            base.pretrain,
-            pool_i=_single_pool(kind_a, ratio),
-            pool_j=_single_pool(kind_b, ratio),
-        )
-        _, curve = pretrain(dataset, cfg, base.encoder)
-        return curve
+        cfg = replace(base.pretrain, pool_i=_single_pool(kind_a, ratio), pool_j=_single_pool(kind_b, ratio))
+        return pretrain(dataset, cfg, base.encoder)[1]
 
     jobs = [(lambda a=a, b=b: job(a, b)) for a, b in pairs]
     curves = _run_cells(jobs, base.workers)

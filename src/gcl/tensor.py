@@ -164,36 +164,45 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), backward_fn)
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow surfaces as FloatingPointError below
-        out = Tensor(_check_finite(np.exp(a.data), "exp"))
+def sum(a: Tensor) -> Tensor:  # noqa: A001
+    out = Tensor(a.data.sum())
 
     def backward_fn(g):
-        _accumulate(a, g * out.data)
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
 
     return _record(out, (a,), backward_fn)
 
 
-def log(a: Tensor) -> Tensor:
-    if (a.data <= 0.0).any():
-        raise FloatingPointError("log of non-positive value")
-    out = Tensor(np.log(a.data))
+def cross_entropy(logits: Tensor, targets, exclude_target: bool = False) -> Tensor:
+    """Mean over rows of logsumexp(row) - row[target], shifted by the row max.
+
+    With `exclude_target` the target entry is left out of the log-sum-exp, as
+    in the exclusive NT-Xent denominator. The gradient is (softmax over the
+    entries the log-sum-exp runs over - one-hot) / N.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    shape = logits.data.shape
+    if not (len(shape) == 2 and shape[0] and shape[1] > exclude_target and targets.shape == shape[:1]
+            and targets.min() >= 0 and targets.max() < shape[1]):
+        raise ValueError(f"cross_entropy needs (N, C > {exclude_target:d}) logits and N targets in [0, C), "
+                         f"got {shape} and {targets.shape}")
+    n = shape[0]
+    rows = np.arange(n)
+    allowed = logits.data.copy()
+    if exclude_target:
+        allowed[rows, targets] = -np.inf
+    row_max = allowed.max(axis=1, keepdims=True)
+    expd = np.exp(allowed - row_max)
+    denom = expd.sum(axis=1, keepdims=True)
+    per_row = np.log(denom) + row_max - logits.data[rows, targets][:, None]
+    out = Tensor(_check_finite(per_row.sum() * (1.0 / n), "cross_entropy"))
 
     def backward_fn(g):
-        _accumulate(a, g / a.data)
+        ga = expd / denom
+        ga[rows, targets] -= 1.0
+        _accumulate(logits, ga * (g / n))
 
-    return _record(out, (a,), backward_fn)
-
-
-def sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
-
-    def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _record(out, (a,), backward_fn)
+    return _record(out, (logits,), backward_fn)
 
 
 def gather_rows(a: Tensor, index) -> Tensor:

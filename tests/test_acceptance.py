@@ -81,7 +81,7 @@ def test_criterion_1_gradient_oracle():
         assert r["passed"], f"{name} max_rel_error {r['max_rel_error']:.3e} >= 1e-4"
     assert elapsed < 120.0
     print(
-        f"\nCRITERION 1: PASS - gradient oracle, 6 composites x 20 draws, "
+        f"\nCRITERION 1: PASS - gradient oracle, {len(report['checks'])} composites x {report['draws']} draws, "
         f"worst rel error {worst:.3e} < 1e-4, {elapsed:.1f}s"
     )
 

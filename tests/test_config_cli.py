@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gcl
-from gcl.cli import _write_json, dispatch, main
+from gcl.cli import CHECKPOINT_COMMANDS, COMMANDS, _write_json, dispatch, main
 from gcl.config import ConfigError, RunConfig, default_config, parse_config_text, parse_pool_spec
 
 
@@ -314,6 +314,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "three.json" in err and "feature_dim 3" in err and "feature_dim 2" in err
         assert not (out / "metrics.json").exists() and not (out / "embeddings.csv").exists()
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c not in CHECKPOINT_COMMANDS])
+    def test_checkpoint_rejected_where_unread(self, tmp_path, corpus_dir, capsys, monkeypatch, command):
+        monkeypatch.setattr("gcl.cli.load_tudataset", lambda *a: pytest.fail("dataset loaded"))
+        out = tmp_path / "out"
+        code = main([command, "--config", config_file(tmp_path, corpus_dir), "--checkpoint", "/nonexistent.json",
+                     "--output", str(out)])
+        assert code == 1
+        assert f"{command} does not read --checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grad_check_passes_without_config(self, tmp_path, capsys):
         assert main(["grad-check", "--output", str(tmp_path / "gc")]) == 0

@@ -8,7 +8,8 @@ from gcl.contrastive import LossCurve, PretrainConfig, contrastive_loss, cosine_
 from gcl.graphs import Graph, GraphDataset
 from gcl.model import EncoderConfig, encode, make_batch, project
 from gcl.synth import make_corpus
-from gcl.tensor import Tensor, finite_diff_check, no_grad
+from gcl import tensor as T
+from gcl.tensor import Tensor, backward, finite_diff_check, no_grad
 
 
 def identity_pool():
@@ -84,6 +85,15 @@ class TestNTXent:
                 return nt_xent(ps[0], ps[1], 0.5, v)
 
             assert finite_diff_check(f, [zi, zj])["passed"]
+
+    @pytest.mark.parametrize("variant", ["exclusive", "inclusive"])
+    def test_tape_holds_one_cross_entropy(self, variant):
+        rng = np.random.default_rng(6)
+        zi = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        zj = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        loss = nt_xent(zi, zj, 0.5, variant)
+        assert T.tape_size() == 6  # two normalisations, transpose, matmul, 1/temperature, cross-entropy
+        backward(loss)
 
     @pytest.mark.parametrize("variant", ["exclusive", "inclusive"])
     def test_symmetric_averages_both_anchorings(self, variant):

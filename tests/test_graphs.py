@@ -255,10 +255,13 @@ class TestLoader:
         for path in expected:
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
-    @pytest.mark.parametrize("text", ["1, 2\n2, 1, 2\n", "1, 2, 1\n", "1\n"])
+    # Edge-file text -> the 1-based file line its error names.
+    BAD_EDGE_LINES = {"1, 2\n2, 1, 2\n": 2, "1, 2, 1\n": 1, "1\n": 1, "\n1, 2\n1, 2, 3\n": 3, " \n\n2, 1\n1\n": 4}
+
+    @pytest.mark.parametrize("text", BAD_EDGE_LINES)
     def test_edge_line_without_two_fields_rejected(self, tmp_path, text):
         write_files(tmp_path, A=text, graph_indicator="1\n1\n")
-        with pytest.raises(ValueError, match="X_A.txt"):
+        with pytest.raises(ValueError, match=rf"X_A.txt: .* on line {self.BAD_EDGE_LINES[text]}\b"):
             load_tudataset(str(tmp_path), "X")
 
     def test_edge_crossing_graphs_rejected(self, tmp_path):
@@ -299,10 +302,13 @@ class TestLoader:
         }
         write_files(tmp_path, **files)
         load_tudataset(str(tmp_path), "X")  # well-formed as written
-        files[suffix] = files[suffix].replace("1", "x", 1)
-        write_files(tmp_path, **files)
-        with pytest.raises(ValueError):
-            load_tudataset(str(tmp_path), "X")
+        bad = files[suffix].replace("1", "x", 1)
+        line = bad[: bad.index("x")].count("\n") + 1
+        # Blank lines before the bad value still count toward its line number.
+        for prefix, shift in (("", 0), ("\n  \n", 2)):
+            write_files(tmp_path, **{**files, suffix: prefix + bad})
+            with pytest.raises(ValueError, match=rf"X_{suffix}.txt: could not convert .* on line {line + shift}\b"):
+                load_tudataset(str(tmp_path), "X")
 
     def test_inconsistent_attribute_widths_rejected(self, tmp_path):
         write_files(tmp_path, A="", graph_indicator="1\n1\n", node_attributes="0.5, 1.0\n2.0\n")

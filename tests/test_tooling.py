@@ -53,3 +53,18 @@ def test_tracer_counts_edge_perturb_and_subgraph_calls():
     assert "subgraph_short" in tracer.counts
     assert tracer.counts["edge_perturb_peak_bytes"] > 0
     assert {"augment.EdgePerturb.tracemalloc", "augment.Subgraph"} <= {s[1] for s in tracer.spans}
+
+
+def test_tracer_counts_tape_ops_of_pretrain_steps():
+    # perfbench's tensor.tape_ops_per_step is tape_ops / pretrain_steps, both
+    # counted where contrastive.pretrain calls backward.
+    spans = load_spans()
+    ds = gcl.make_corpus(8, families=("cycle", "star"), size_range=(5, 8), seed=0)
+    tracer = spans.Tracer()
+    try:
+        tracer.install(gcl)
+        gcl.contrastive.pretrain(ds, gcl.PretrainConfig(batch_size=4, epochs=1))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["pretrain_steps"] == 2
+    assert tracer.counts["tape_ops"] > 0
