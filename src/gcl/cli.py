@@ -203,7 +203,7 @@ def _cmd_probe(cfg, dataset, outdir, runlog, checkpoint):
     emb = embed_dataset(params, dataset)
     report = linear_probe(emb, dataset.labels, folds=cfg.folds, seed=cfg.seed)
     _write_report(outdir, report)
-    runlog.event("probed", mean=report.mean, pretrained=bool(checkpoint))
+    runlog.event("probed", mean=report.mean, pretrained=bool(checkpoint), wall_clock=report.wall_clock)
     return 0
 
 

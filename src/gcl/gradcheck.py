@@ -150,15 +150,20 @@ CHECKS = {
 
 
 def run_gradient_checks(draws: int = 20, h: float = 1e-5, tol: float = 1e-4, seed: int = 0) -> dict:
-    """Run every composite check `draws` times; reports worst error per composite."""
+    """Run every composite check `draws` times; reports worst error per composite. A draw
+    that fails the smoothness screen (a kink within h) is redrawn, at most `draws` times
+    per composite, and counted."""
     results = {}
     for i, (name, check) in enumerate(CHECKS.items()):
         rng = np.random.default_rng(np.random.SeedSequence((seed, 5, i)))
-        worst = 0.0
+        worst, redraws = 0.0, 0
         for _ in range(draws):
             report = check(rng, h=h, tol=tol)
+            while not report["smooth"] and redraws < draws:
+                redraws += 1
+                report = check(rng, h=h, tol=tol)
             worst = max(worst, float(report["max_rel_error"]))
-        results[name] = {"max_rel_error": worst, "passed": bool(worst < tol)}
+        results[name] = {"max_rel_error": worst, "passed": bool(worst < tol), "redraws": redraws}
     return {
         "draws": draws,
         "h": h,

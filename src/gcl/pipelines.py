@@ -25,13 +25,12 @@ from .graphs import GraphDataset
 from .model import (
     EncoderConfig,
     ModelParams,
-    accuracy,
     classify,
     encode,
     init_params,
     make_batch,
 )
-from .tensor import Adam, Tensor, backward, no_grad
+from .tensor import Adam, Tensor, _check_finite, backward, no_grad
 
 log = logging.getLogger(__name__)
 
@@ -201,21 +200,44 @@ def embed_dataset(params: ModelParams, dataset: GraphDataset, chunk_size: int = 
     return np.vstack(rows)
 
 
-def _fit_logreg(x, y, num_classes, l2, steps=300, lr=0.1):
-    """Multinomial logistic regression by full-batch Adam on the tensor engine."""
-    n, d = x.shape
-    w = Tensor(np.zeros((d, num_classes)), requires_grad=True)
-    b = Tensor(np.zeros(num_classes), requires_grad=True)
-    xt = Tensor(x)
-    optimizer = Adam([w, b], lr=lr)
+def _stack(parts):
+    """(x, y) per fold as zero-padded (F, 1, d, n) features^T, (F, n) labels and real-row mask, (F,) sizes."""
+    counts = np.array([y.size for _, y in parts])
+    xt = np.zeros((len(parts), 1, parts[0][0].shape[1], counts.max()))
+    labels = np.zeros((len(parts), counts.max()), dtype=np.int64)
+    for f, (x, y) in enumerate(parts):
+        xt[f, 0, :, : y.size], labels[f, : y.size] = x.T, y
+    return xt, labels, np.arange(counts.max()) < counts[:, None], counts
+
+
+def _fit_logreg(parts, num_classes, l2, steps=300, lr=0.1):
+    """Multinomial logistic regressions, one per fold (x, y) in `parts` and strength in `l2`
+    ((L,) or (F, L)), fitted together by full-batch Adam from zero. The closed-form gradient
+    of mean cross-entropy + l2 / (2 n_f) |w|^2 is (softmax - one-hot) / n_f and l2 w / n_f;
+    padded rows weigh 0. Weights are (F, L, C, d), so the softmax runs over C contiguous rows."""
+    xt, labels, real, counts = _stack(parts)
+    x = np.ascontiguousarray(xt.swapaxes(2, 3))
+    onehot = np.arange(num_classes)[:, None] == labels[:, None, None, :]
+    weight = (real / counts[:, None])[:, None, None, :]
+    penalty = (l2 / counts[:, None])[..., None, None]  # (F, L, 1, 1)
+    w = Tensor(np.zeros((*penalty.shape[:2], num_classes, xt.shape[2])))
+    b = Tensor(np.zeros((*penalty.shape[:2], num_classes, 1)))
+    optimizer = Adam([w, b], lr=lr)  # checks every gradient for NaN/Inf
     for _ in range(steps):
-        logits = T.add(T.matmul(xt, w), b)
-        penalty = T.mul_scalar(T.sum(T.mul(w, w)), l2 / (2.0 * n))
-        loss = T.add(T.cross_entropy(logits, y), penalty)
-        optimizer.zero_grad()
-        backward(loss)
+        logits = _check_finite(w.data @ xt + b.data, "linear probe logits")
+        expd = np.exp(logits - logits.max(axis=2, keepdims=True))
+        residual = (expd / expd.sum(axis=2, keepdims=True) - onehot) * weight
+        w.grad = residual @ x + penalty * w.data
+        b.grad = residual.sum(axis=3, keepdims=True)
         optimizer.step()
     return w.data, b.data
+
+
+def _accuracies(w, b, parts):
+    """(F, L) accuracy of each fold's fits on that fold's (x, y)."""
+    xt, labels, real, counts = _stack(parts)
+    hits = ((w @ xt + b).argmax(axis=2) == labels[:, None]) & real[:, None]
+    return hits.sum(axis=2) / counts[:, None]
 
 
 def linear_probe(
@@ -229,16 +251,21 @@ def linear_probe(
 
     Features are standardized with training-fold statistics; the L2 strength
     is picked per fold on an inner 80/20 split of the training fold (ties go
-    to the smaller strength) and the winner is refit on the whole fold."""
+    to the smaller strength) and the winner is refit on the whole fold. All
+    folds x strengths fit in one stacked solve, and the refits in a second."""
     start = time.perf_counter()
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError("embeddings and labels disagree on the number of graphs")
+    if x.ndim != 2 or y.shape != x.shape[:1] or y.min() < 0:
+        raise ValueError(f"linear_probe needs (N, d) embeddings and N labels >= 0, got {x.shape} and {y.shape}")
+    grid = np.asarray(l2_grid, dtype=np.float64)
+    if grid.ndim != 1 or not grid.size or not (np.isfinite(grid) & (grid >= 0.0)).all():
+        raise ValueError(f"l2_grid needs one or more finite strengths >= 0, got {l2_grid!r}")
+    grid = np.sort(grid)
     num_classes = int(y.max()) + 1
     test_folds = stratified_folds(y, folds, seed)
     all_idx = np.arange(y.size)
-    accs = []
+    inner, held_out, whole, test = [], [], [], []
     for f, test_idx in enumerate(test_folds):
         train_idx = np.setdiff1d(all_idx, test_idx)
         if np.unique(y[train_idx]).size < 2:
@@ -249,21 +276,20 @@ def linear_probe(
         xs = (x - mu) / sd
         inner_test = stratified_folds(y[train_idx], 5, seed + 31 * (f + 1))[0]
         inner_train = np.setdiff1d(np.arange(train_idx.size), inner_test)
-        best_l2, best_acc = None, -1.0
-        for l2 in l2_grid:
-            w, b = _fit_logreg(
-                xs[train_idx][inner_train], y[train_idx][inner_train], num_classes, l2
-            )
-            val = accuracy(xs[train_idx][inner_test] @ w + b, y[train_idx][inner_test])
-            if val > best_acc:
-                best_l2, best_acc = l2, val
-        w, b = _fit_logreg(xs[train_idx], y[train_idx], num_classes, best_l2)
-        accs.append(accuracy(xs[test_idx] @ w + b, y[test_idx]))
+        xf, yf = xs[train_idx], y[train_idx]
+        inner.append((xf[inner_train], yf[inner_train]))
+        held_out.append((xf[inner_test], yf[inner_test]))
+        whole.append((xf, yf))
+        test.append((xs[test_idx], y[test_idx]))
+    # argmax takes the first best, and the grid is ascending
+    best = grid[_accuracies(*_fit_logreg(inner, num_classes, grid), held_out).argmax(axis=1)]
+    accs = _accuracies(*_fit_logreg(whole, num_classes, best[:, None]), test)[:, 0]
     config = {
         "protocol": "linear_probe",
         "folds": folds,
         "seed": seed,
         "l2_grid": list(l2_grid),
+        "selected_l2": best.tolist(),
     }
     return EvalReport("linear_probe", tuple(accs), time.perf_counter() - start, config)
 

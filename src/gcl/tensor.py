@@ -310,8 +310,9 @@ class Adam:
 def finite_diff_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> dict:
     """Compare analytic gradients of the scalar f(params) with central differences.
 
-    Relative error per coordinate uses denominator max(|analytic|, |numeric|,
-    1e-8). Returns {"max_rel_error", "passed"}.
+    Relative error per coordinate uses denominator max(|a|, |b|, 1e-8). Returns
+    {"max_rel_error", "passed", "smooth"}; `smooth` (central differences at h and h/2
+    agree within tol) reads f alone, so it tells a kink within h from a wrong gradient.
     """
     if h <= 0.0:
         raise ValueError("h must be positive")
@@ -323,7 +324,11 @@ def finite_diff_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> dict:
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params
     ]
-    max_rel = 0.0
+
+    def rel(a, b):
+        return abs(a - b) / builtins.max(abs(a), abs(b), 1e-8)
+
+    max_rel = max_kink = 0.0
     with no_grad():
         for p, grads in zip(params, analytic):
             if not p.data.flags.c_contiguous:
@@ -332,14 +337,16 @@ def finite_diff_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> dict:
             gflat = grads.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + h
-                f_plus = float(f(params).data)
-                flat[i] = orig - h
-                f_minus = float(f(params).data)
-                flat[i] = orig
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                    raise FloatingPointError("non-finite evaluation in finite_diff_check")
-                numeric = (f_plus - f_minus) / (2.0 * h)
-                denom = builtins.max(abs(gflat[i]), abs(numeric), 1e-8)
-                max_rel = builtins.max(max_rel, abs(gflat[i] - numeric) / denom)
-    return {"max_rel_error": max_rel, "passed": max_rel < tol}
+                numeric = []
+                for step in (h, h / 2):
+                    flat[i] = orig + step
+                    f_plus = float(f(params).data)
+                    flat[i] = orig - step
+                    f_minus = float(f(params).data)
+                    flat[i] = orig
+                    if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                        raise FloatingPointError("non-finite evaluation in finite_diff_check")
+                    numeric.append((f_plus - f_minus) / (2.0 * step))
+                max_rel = builtins.max(max_rel, rel(gflat[i], numeric[0]))
+                max_kink = builtins.max(max_kink, rel(*numeric))
+    return {"max_rel_error": max_rel, "passed": max_rel < tol, "smooth": max_kink < tol}

@@ -330,6 +330,7 @@ class TestCLI:
         assert "PASS" in capsys.readouterr().out
         doc = json.load(open(tmp_path / "gc" / "gradcheck.json"))
         assert doc["passed"] is True
+        assert all(r["redraws"] == 0 for r in doc["checks"].values())  # seed 0 has no kink within h
 
     def test_unknown_command_is_usage_error(self):
         assert main(["transmogrify"]) == 1
@@ -360,6 +361,15 @@ class TestCLI:
         echo_a = [l for l in open(os.path.join(a, "config.effective.ini")) if not l.startswith("output")]
         echo_b = [l for l in open(os.path.join(b, "config.effective.ini")) if not l.startswith("output")]
         assert echo_a == echo_b
+
+    def test_probe_records_selected_l2_and_wall_clock(self, tmp_path, corpus_dir):
+        out = str(tmp_path / "probe")
+        assert main(["probe", "--config", config_file(tmp_path, corpus_dir), "--output", out]) == 0
+        config = json.load(open(os.path.join(out, "metrics.json")))["config"]
+        assert len(config["selected_l2"]) == 2 and set(config["selected_l2"]) <= set(config["l2_grid"])
+        events = [json.loads(line) for line in open(os.path.join(out, "run.jsonl"))]
+        probed = next(e for e in events if e["event"] == "probed")
+        assert probed["payload"]["wall_clock"] > 0.0
 
     def test_run_log_is_jsonl_with_timestamps(self, tmp_path, corpus_dir):
         cfg = config_file(tmp_path, corpus_dir)

@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gcl.tensor as T
+from gcl import pipelines
 from gcl.augment import AugmentationPool, AugmentationSpec
 from gcl.contrastive import PretrainConfig, pretrain
-from gcl.model import EncoderConfig, init_params
+from gcl.model import EncoderConfig, accuracy, init_params
 from gcl.pipelines import (
     EvalReport,
     ExperimentBase,
@@ -183,6 +185,123 @@ class TestLinearProbe:
         a = linear_probe(emb, labels, folds=3, seed=4)
         b = linear_probe(emb, labels, folds=3, seed=4)
         assert a.fold_accuracies == b.fold_accuracies
+
+    def test_grid_order_does_not_change_the_report(self):
+        # the 10.0 and 0.01 fits tie on validation; the smaller strength wins in either order
+        rng = np.random.default_rng(0)
+        emb = np.vstack([rng.normal(size=(30, 4)) + 1.0, rng.normal(size=(30, 4)) - 1.0])
+        labels = np.array([0] * 30 + [1] * 30)
+        a = linear_probe(emb, labels, folds=3, seed=1, l2_grid=(10.0, 0.01))
+        b = linear_probe(emb, labels, folds=3, seed=1, l2_grid=(0.01, 10.0))
+        assert a.fold_accuracies == b.fold_accuracies == (0.95, 0.95, 0.95)
+        assert a.config["selected_l2"] == b.config["selected_l2"] == [0.01, 0.01, 0.01]
+
+    @pytest.mark.parametrize("grid", [(), (0.1, -1.0), (1.0, float("nan")), (float("inf"),)])
+    def test_bad_l2_grid_rejected_before_any_fit(self, grid, monkeypatch):
+        monkeypatch.setattr(pipelines, "_fit_logreg", lambda *a: pytest.fail("a fit ran"))
+        emb = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(ValueError, match="l2_grid") as err:
+            linear_probe(emb, np.arange(20) % 2, folds=2, l2_grid=grid)
+        assert repr(grid) in str(err.value)
+
+    @pytest.mark.parametrize("emb,labels", [(np.zeros(8), np.arange(8) % 2), (np.zeros((8, 2)), np.arange(7) % 2),
+                                            (np.zeros((8, 2)), np.arange(8) % 2 - 1)])
+    def test_malformed_inputs_rejected(self, emb, labels):
+        with pytest.raises(ValueError, match="linear_probe needs"):
+            linear_probe(emb, labels, folds=2)
+
+    def test_nan_embeddings_raise(self):
+        emb = np.random.default_rng(0).normal(size=(20, 3))
+        emb[4, 1] = np.nan
+        with pytest.raises(FloatingPointError):
+            linear_probe(emb, np.arange(20) % 2, folds=2)
+
+    def test_leaves_the_tape_alone(self):
+        emb = np.random.default_rng(1).normal(size=(24, 3))
+        labels = np.arange(24) % 3
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        loss = T.sum(T.mul(x, x))
+        before = T.tape_size()
+        report = linear_probe(emb, labels, folds=3)
+        assert T.tape_size() == before
+        T.backward(loss)
+        with T.no_grad():
+            assert linear_probe(emb, labels, folds=3).fold_accuracies == report.fold_accuracies
+
+
+def _tape_fit_logreg(x, y, num_classes, l2, steps=300, lr=0.1):
+    """The probe's former fit, one (fold, strength) at a time through the tape: the reference."""
+    n, d = x.shape
+    w = T.Tensor(np.zeros((d, num_classes)), requires_grad=True)
+    b = T.Tensor(np.zeros(num_classes), requires_grad=True)
+    xt = T.Tensor(x)
+    optimizer = T.Adam([w, b], lr=lr)
+    for _ in range(steps):
+        logits = T.add(T.matmul(xt, w), b)
+        penalty = T.mul_scalar(T.sum(T.mul(w, w)), l2 / (2.0 * n))
+        loss = T.add(T.cross_entropy(logits, y), penalty)
+        optimizer.zero_grad()
+        T.backward(loss)
+        optimizer.step()
+    return w.data, b.data
+
+
+def _reference_probe(x, y, folds, seed, l2_grid):
+    """linear_probe's former per-fold loop over `_tape_fit_logreg`, ascending grid."""
+    num_classes = int(y.max()) + 1
+    accs = []
+    for f, test_idx in enumerate(stratified_folds(y, folds, seed)):
+        train_idx = np.setdiff1d(np.arange(y.size), test_idx)
+        mu, sd = x[train_idx].mean(axis=0), x[train_idx].std(axis=0)
+        sd[sd == 0.0] = 1.0
+        xs = (x - mu) / sd
+        inner_test = stratified_folds(y[train_idx], 5, seed + 31 * (f + 1))[0]
+        inner_train = np.setdiff1d(np.arange(train_idx.size), inner_test)
+        xf, yf = xs[train_idx], y[train_idx]
+        best_l2, best_acc = None, -1.0
+        for l2 in sorted(l2_grid):
+            w, b = _tape_fit_logreg(xf[inner_train], yf[inner_train], num_classes, l2)
+            val = accuracy(xf[inner_test] @ w + b, yf[inner_test])
+            if val > best_acc:
+                best_l2, best_acc = l2, val
+        w, b = _tape_fit_logreg(xf, yf, num_classes, best_l2)
+        accs.append(accuracy(xs[test_idx] @ w + b, y[test_idx]))
+    return tuple(accs)
+
+
+def _probe_input(seed, classes):
+    """Unevenly sized classes, so folds differ in size, and a constant first column."""
+    rng = np.random.default_rng(seed)
+    y = rng.permutation(np.arange(int(rng.integers(31, 47))) % classes)
+    x = rng.normal(size=(y.size, 4)) + 0.8 * rng.normal(size=(classes, 4))[y]
+    x[:, 0] = 2.5
+    return x, y
+
+
+CASES = [(2, (1.0,)), (3, (0.01, 10.0)), (4, (0.1, 3.0, 0.01)), (2, (10.0, 0.01, 1.0, 0.1)), (3, (0.1, 1.0))]
+
+
+class TestProbeSolver:
+    @pytest.mark.parametrize("classes,grid", CASES)
+    def test_weights_match_the_tape_fit(self, classes, grid):
+        parts = [_probe_input(10 * classes + f, classes) for f in range(3)]
+        assert len({y.size for _, y in parts}) > 1  # unequal folds
+        w, b = pipelines._fit_logreg(parts, classes, np.broadcast_to(np.array(grid), (3, len(grid))))
+        assert w.shape == (3, len(grid), classes, 4) and b.shape == (3, len(grid), classes, 1)
+        for f, (x, y) in enumerate(parts):
+            for i, l2 in enumerate(grid):
+                w_ref, b_ref = _tape_fit_logreg(x, y, classes, l2)
+                np.testing.assert_allclose(w[f, i], w_ref.T, rtol=1e-7, atol=1e-7 * np.abs(w_ref).max())
+                np.testing.assert_allclose(b[f, i, :, 0], b_ref, rtol=1e-7, atol=1e-7 * np.abs(b_ref).max())
+
+    @pytest.mark.parametrize("classes,grid", CASES)
+    def test_fold_accuracies_equal_the_tape_probe(self, classes, grid):
+        x, y = _probe_input(classes + len(grid), classes)
+        folds = 3 if classes < 4 else 2
+        report = linear_probe(x, y, folds=folds, seed=classes, l2_grid=grid)
+        assert report.fold_accuracies == _reference_probe(x, y, folds, classes, grid)
+        assert len(report.config["selected_l2"]) == folds
+        assert set(report.config["selected_l2"]) <= set(grid)
 
 
 class TestGridAndSweeps:

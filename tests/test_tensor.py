@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gcl import gradcheck
 from gcl import tensor as T
 from gcl.tensor import Adam, Tensor, backward, finite_diff_check, no_grad, zero_grad
 
@@ -131,6 +132,15 @@ class TestFiniteDiff:
 
         report = finite_diff_check(wrong, [p])
         assert not report["passed"]
+        assert report["smooth"]  # the screen reads f only, so it cannot excuse a wrong gradient
+
+    def test_kink_within_h_is_not_smooth(self):
+        def f(ps):
+            return T.sum(T.relu(ps[0]))
+
+        assert finite_diff_check(f, [t([0.5, -0.7])])["smooth"]
+        report = finite_diff_check(f, [t([0.5, 3e-6])], h=1e-5)  # central differences read 0.65 and 0.8
+        assert not report["smooth"] and not report["passed"]
 
     def test_segment_sum_gradient_scatter(self):
         rng = np.random.default_rng(4)
@@ -252,3 +262,40 @@ class TestAdam:
         p.grad = np.array([np.inf])
         with pytest.raises(FloatingPointError):
             opt.step()
+
+
+def _wrong_square_check(rng, h=1e-5, tol=1e-4):
+    """sum(p^2) with a backward of 3p instead of 2p."""
+    p = t(rng.normal(size=3))
+
+    def f(ps):
+        def backward_fn(g):
+            ps[0].grad = 3.0 * ps[0].data * g
+
+        return T.sum(T._record(Tensor(ps[0].data ** 2), (ps[0],), backward_fn))
+
+    return finite_diff_check(f, [p], h=h, tol=tol)
+
+
+class TestGradientChecks:
+    def test_seed_17_passes_by_redrawing_a_kink(self):
+        # draw 3 of end_to_end puts a ReLU input within h of its kink at this seed
+        report = gradcheck.run_gradient_checks(seed=17)
+        assert report["passed"]
+        assert report["checks"]["end_to_end"]["redraws"] >= 1
+        assert report["draws"] == 20 and report["h"] == 1e-5 and report["tol"] == 1e-4
+
+    def test_wrong_gradient_still_fails(self, monkeypatch):
+        monkeypatch.setattr(gradcheck, "CHECKS", {"wrong": _wrong_square_check})
+        report = gradcheck.run_gradient_checks(draws=3)
+        assert not report["passed"]
+        assert report["checks"]["wrong"]["redraws"] == 0
+
+    def test_redraws_are_capped(self, monkeypatch):
+        def always_at_kink(rng, h=1e-5, tol=1e-4):
+            return finite_diff_check(lambda ps: T.sum(T.relu(ps[0])), [t([h / 3])], h=h, tol=tol)
+
+        monkeypatch.setattr(gradcheck, "CHECKS", {"kink": always_at_kink})
+        report = gradcheck.run_gradient_checks(draws=4)
+        assert report["checks"]["kink"]["redraws"] == 4
+        assert not report["passed"]
