@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 from .augment import KINDS, AugmentationPool, AugmentationSpec, default_pool
 from .contrastive import PretrainConfig
@@ -148,42 +148,8 @@ def _text(value) -> str:
     return str(value)
 
 
-@dataclass
-class RunConfig:
-    """Every knob of a run, one field per key of `_TABLE`."""
-
-    seed: int
-    output: str | None
-    workers: int
-    dataset_path: str | None
-    dataset_name: str | None
-    category: str | None
-    arch: str
-    num_layers: int
-    hidden_dim: int
-    readout: str
-    gin_eps: float
-    batch_size: int
-    temperature: float
-    pretrain_epochs: int
-    pretrain_lr: float
-    loss_variant: str
-    symmetric: bool
-    pool_i: str
-    pool_j: str
-    label_rate: float
-    folds: int
-    stratified: bool
-    finetune_epochs: int
-    finetune_lr: float
-    finetune_batch: int
-    sweep_kinds: list[str]
-    sweep_kind: str
-    sweep_ratios: list[float]
-    sweep_alphas: list[float]
-    sweep_pairs: list[tuple[str, str]]
-    sweep_seeds: list[int]
-    sweep_ratio: float
+class _RunConfigBase:
+    """What a RunConfig's values build: the consuming dataclasses and the config echo."""
 
     @property
     def encoder(self) -> EncoderConfig:
@@ -193,17 +159,9 @@ class RunConfig:
         return SplitSpec(self.label_rate, self.folds, self.stratified, self.seed)
 
     def pretrain_config(self, category: str) -> PretrainConfig:
-        return PretrainConfig(
-            batch_size=self.batch_size,
-            temperature=self.temperature,
-            epochs=self.pretrain_epochs,
-            learning_rate=self.pretrain_lr,
-            pool_i=resolve_pool(self.pool_i, category),
-            pool_j=resolve_pool(self.pool_j, category),
-            seed=self.seed,
-            loss_variant=self.loss_variant,
-            symmetric=self.symmetric,
-        )
+        pools = resolve_pool(self.pool_i, category), resolve_pool(self.pool_j, category)
+        return PretrainConfig(self.batch_size, self.temperature, self.pretrain_epochs, self.pretrain_lr, *pools,
+                              self.seed, self.loss_variant, self.symmetric)
 
     def effective_ini(self) -> str:
         """Render the fully-defaulted config back out (the reproducibility echo).
@@ -218,6 +176,11 @@ class RunConfig:
                     out.write(f"{key} = {_text(value)}\n")
             out.write("\n")
         return out.getvalue()
+
+
+# Every knob of a run, one field per key of `_TABLE`, in table order.
+RunConfig = make_dataclass("RunConfig", [name for keys in _TABLE.values() for name, _, _ in keys.values()],
+                           bases=(_RunConfigBase,), namespace={"__module__": __name__})
 
 
 def parse_pool_spec(text: str) -> AugmentationPool:

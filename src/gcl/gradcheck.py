@@ -1,7 +1,8 @@
 """Finite-difference verification of every composite gradient the trainer
-relies on: GCN layer, GIN layer, projection head, classifier head with
-cross-entropy, the contrastive loss in both variants, and the whole
-pretraining graph end to end (encode -> project -> contrastive loss).
+relies on: GCN layer, GIN layer (both with respect to their node table as
+well as their weights), projection head, classifier head with cross-entropy,
+the contrastive loss in both variants, and the whole pretraining graph end to
+end (encode -> project -> contrastive loss).
 
 Each check draws random inputs/parameters, contracts the composite's output
 with a fixed random probe matrix to get a scalar, and compares analytic
@@ -43,24 +44,24 @@ def _draw(rng, *shapes, scale=1.0):
 
 def check_gcn_layer(rng, h=1e-5, tol=1e-4):
     batch = _random_batch(rng)
-    x = Tensor(batch.features)
-    w = _draw(rng, (FEATURE_DIM, HIDDEN))
+    params = [Tensor(batch.features.copy(), requires_grad=True), *_draw(rng, (FEATURE_DIM, HIDDEN))]
     probe = Tensor(rng.normal(size=(batch.features.shape[0], HIDDEN)))
 
-    def f(params):
-        return T.sum(T.mul(gcn_layer(x, batch, params[0]), probe))
+    def f(ps):
+        return T.sum(T.mul(gcn_layer(ps[0], batch, ps[1]), probe))
 
-    return finite_diff_check(f, w, h=h, tol=tol)
+    return finite_diff_check(f, params, h=h, tol=tol)
 
 
 def check_gin_layer(rng, h=1e-5, tol=1e-4):
     batch = _random_batch(rng)
-    x = Tensor(batch.features)
-    params = _draw(rng, (FEATURE_DIM, HIDDEN), HIDDEN, (HIDDEN, HIDDEN), HIDDEN)
+    x = Tensor(batch.features.copy(), requires_grad=True)
+    params = [x, *_draw(rng, (FEATURE_DIM, HIDDEN), HIDDEN, (HIDDEN, HIDDEN), HIDDEN)]
     probe = Tensor(rng.normal(size=(batch.features.shape[0], HIDDEN)))
+    eps = float(rng.uniform(-0.5, 0.5))
 
     def f(ps):
-        return T.sum(T.mul(gin_layer(x, batch, ps[0], ps[1], ps[2], ps[3]), probe))
+        return T.sum(T.mul(gin_layer(ps[0], batch, *ps[1:], eps=eps), probe))
 
     return finite_diff_check(f, params, h=h, tol=tol)
 

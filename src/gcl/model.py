@@ -2,9 +2,13 @@
 classifier head on top of the tensor engine.
 
 Graphs are batched by concatenating node features and edge lists with global
-node ids plus a node-to-graph segment vector; message passing is realized with
-edge-indexed gather + segment_sum, so batching a set of graphs is numerically
-equivalent to encoding them one by one.
+node ids plus a node-to-graph segment vector. A layer's message passing is one
+tape op, `tensor.propagate`, with the batch's symmetric operator: S = D^-1/2
+(A + I) D^-1/2 for GCN, A + (1 + eps) I for GIN. The operator (edge
+coefficients, self weights and scatter keys) is built once per batch and
+shared by every layer and the backward pass. S is block-diagonal over the
+graphs, so batching a set of graphs is numerically equivalent to encoding them
+one by one.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import base64
 import json
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,6 +57,20 @@ class GraphBatch:
     segments: np.ndarray  # node -> graph index, non-decreasing
     num_graphs: int
     node_counts: np.ndarray  # (num_graphs,)
+    operators: dict = field(default_factory=dict, init=False, repr=False)  # (arch, eps) -> T.Propagation
+
+    def operator(self, arch: str, eps: float = 0.0) -> T.Propagation:
+        """This batch's layer operator for `arch`, built on first use."""
+        if (arch, eps) not in self.operators:
+            n = self.features.shape[0]
+            if arch == "gcn":
+                deg_hat = 1.0 + np.bincount(self.dst, minlength=n)
+                inv_sqrt = 1.0 / np.sqrt(deg_hat)
+                coef = (inv_sqrt[self.src] * inv_sqrt[self.dst])[:, None]
+                self.operators[arch, eps] = T.Propagation(self.src, self.dst, n, (1.0 / deg_hat)[:, None], coef)
+            else:
+                self.operators[arch, eps] = T.Propagation(self.src, self.dst, n, 1.0 + eps)
+        return self.operators[arch, eps]
 
 
 def make_batch(graphs) -> GraphBatch:
@@ -84,32 +102,12 @@ def make_batch(graphs) -> GraphBatch:
 
 def gcn_layer(h: Tensor, batch: GraphBatch, weight: Tensor) -> Tensor:
     """ReLU(S h W) with S the symmetric-normalized adjacency with self-loops."""
-    n = batch.features.shape[0]
-    if h.data.shape[0] != n:
-        raise ValueError("node embedding row count does not match the batch")
-    deg_hat = 1.0 + np.bincount(batch.dst, minlength=n)
-    inv_sqrt = 1.0 / np.sqrt(deg_hat)
-    hw = T.matmul(h, weight)
-    self_term = T.mul(hw, Tensor((1.0 / deg_hat)[:, None]))
-    if batch.src.size:
-        coef = (inv_sqrt[batch.src] * inv_sqrt[batch.dst])[:, None]
-        messages = T.mul(T.gather_rows(hw, batch.src), Tensor(coef))
-        agg = T.add(self_term, T.segment_sum(messages, batch.dst, n))
-    else:
-        agg = self_term
-    return T.relu(agg)
+    return T.relu(T.propagate(T.matmul(h, weight), batch.operator("gcn")))
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps: float = 0.0) -> Tensor:
     """MLP((1 + eps) * h + sum of neighbor embeddings), MLP = Linear-ReLU-Linear."""
-    n = batch.features.shape[0]
-    if h.data.shape[0] != n:
-        raise ValueError("node embedding row count does not match the batch")
-    combined = T.mul_scalar(h, 1.0 + eps)
-    if batch.src.size:
-        neighbor_sum = T.segment_sum(T.gather_rows(h, batch.src), batch.dst, n)
-        combined = T.add(combined, neighbor_sum)
-    hidden = T.relu(T.add(T.matmul(combined, w1), b1))
+    hidden = T.relu(T.add(T.matmul(T.propagate(h, batch.operator("gin", eps)), w1), b1))
     return T.add(T.matmul(hidden, w2), b2)
 
 

@@ -15,6 +15,7 @@ import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -358,12 +359,8 @@ def aug_grid(dataset: GraphDataset, kinds, base: ExperimentBase, ratio: float = 
         labels.append("Identity")
     scratch = base.scratch(dataset)
     cells = [(a, b) for a in range(len(labels)) for b in range(a, len(labels))]
-    jobs = [
-        (lambda a=a, b=b: _cell(
-            dataset, base, _single_pool(labels[a], ratio), _single_pool(labels[b], ratio)
-        ))
-        for a, b in cells
-    ]
+    jobs = [partial(_cell, dataset, base, _single_pool(labels[a], ratio), _single_pool(labels[b], ratio))
+            for a, b in cells]
     results = _run_cells(jobs, base.workers)
     k = len(labels)
     acc = np.zeros((k, k))
@@ -394,12 +391,8 @@ def _sweep(dataset, base: ExperimentBase, points, pool_for_point, seeds):
     scratch = {s: base.scratch(dataset, replace(base.split, seed=s)).mean for s in seeds}
     identity = _single_pool("Identity", 0.0)
 
-    def job(value, s):
-        return _cell(
-            dataset, base, identity, pool_for_point(value), seed=s, split=replace(base.split, seed=s)
-        )
-
-    jobs = [(lambda v=v, s=s: job(v, s)) for v in points for s in seeds]
+    jobs = [partial(_cell, dataset, base, identity, pool_for_point(v), seed=s, split=replace(base.split, seed=s))
+            for v in points for s in seeds]
     results = _run_cells(jobs, base.workers)
     means = iter(report.mean for report, _ in results)
     rows = []

@@ -6,6 +6,13 @@ are enabled and any input requires them, appends a backward closure to a
 thread-local tape. `backward(loss)` walks the tape in reverse execution order
 (a valid topological order) and clears it. A tape therefore belongs to one
 thread; pure math under `no_grad()` is safe anywhere.
+
+Gradient ownership: a backward closure hands `_accumulate` either a fresh
+array that nothing else holds, which becomes the input's `.grad` as it is, or
+(`owned=False`) the incoming gradient, a view of it or a broadcast, which is
+copied first. Later contributions are added in place, so no two tensors'
+`.grad` share memory and no gradient starts as a zero buffer. `Adam.step`
+updates each parameter's data in place.
 """
 
 from __future__ import annotations
@@ -16,27 +23,21 @@ from contextlib import contextmanager
 
 import numpy as np
 
-_STATE = threading.local()
+
+class _TapeState(threading.local):
+    """One tape and grad-enabled flag per thread, set up on the thread's first use."""
+
+    def __init__(self):
+        self.tape, self.grad_enabled = [], True
 
 
-def _tape() -> list:
-    if not hasattr(_STATE, "tape"):
-        _STATE.tape = []
-        _STATE.grad_enabled = True
-    return _STATE.tape
-
-
-def _grad_enabled() -> bool:
-    _tape()
-    return _STATE.grad_enabled
+_STATE = _TapeState()
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block."""
-    _tape()
-    prev = _STATE.grad_enabled
-    _STATE.grad_enabled = False
+    prev, _STATE.grad_enabled = _STATE.grad_enabled, False
     try:
         yield
     finally:
@@ -44,7 +45,7 @@ def no_grad():
 
 
 def tape_size() -> int:
-    return len(_tape())
+    return len(_STATE.tape)
 
 
 class Tensor:
@@ -56,10 +57,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def item(self) -> float:
         return float(self.data)
@@ -74,16 +71,17 @@ def _check_finite(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = True) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += grad
+        t.grad = grad if owned else grad.copy()
+    else:
+        t.grad += grad
 
 
 def _record(out: Tensor, inputs, backward_fn) -> Tensor:
-    if _grad_enabled() and any(t.requires_grad for t in inputs):
+    if _STATE.grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _tape().append((out, backward_fn))
+        _STATE.tape.append((out, backward_fn))
     return out
 
 
@@ -113,10 +111,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T.copy())
+    out = Tensor(a.data.T)
 
     def backward_fn(g):
-        _accumulate(a, g.T)
+        _accumulate(a, g.T, owned=False)
 
     return _record(out, (a,), backward_fn)
 
@@ -125,10 +123,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_check_finite(a.data + b.data, "add"))
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        for t in (a, b):
+            if t.requires_grad:  # without broadcasting, t's share is g itself
+                _accumulate(t, _unbroadcast(g, t.data.shape), owned=t.data.shape != g.shape)
 
     return _record(out, (a, b), backward_fn)
 
@@ -168,7 +165,7 @@ def sum(a: Tensor) -> Tensor:  # noqa: A001
     out = Tensor(a.data.sum())
 
     def backward_fn(g):
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
+        _accumulate(a, np.full(a.data.shape, g))
 
     return _record(out, (a,), backward_fn)
 
@@ -205,34 +202,79 @@ def cross_entropy(logits: Tensor, targets, exclude_target: bool = False) -> Tens
     return _record(out, (logits,), backward_fn)
 
 
+def _flat_keys(index: np.ndarray, f: int) -> np.ndarray:
+    return (index[:, None] * f + np.arange(f)).ravel()  # element (i, col) of an (len(index), f) table
+
+
+def _scatter_rows(x: np.ndarray, index: np.ndarray, n: int, keys: np.ndarray | None = None) -> np.ndarray:
+    """(n, F) rows; row r sums the rows x[i] with index[i] == r. One np.bincount over the flat
+    keys index * F + col (passed in as `keys` when the caller keeps them) with x.ravel() as
+    weights: the same additions in the same order as np.add.at(zeros, index, x)."""
+    f = x.shape[1]
+    if not x.size:  # np.bincount returns int64 when there is nothing to weigh
+        return np.zeros((n, f))
+    return np.bincount(_flat_keys(index, f) if keys is None else keys, x.ravel(), minlength=n * f).reshape(n, f)
+
+
 def gather_rows(a: Tensor, index) -> Tensor:
-    index = np.asarray(index, dtype=np.int64)
+    # Indexing arange resolves negative ids as numpy does and rejects ids out of range.
+    index = np.arange(a.data.shape[0])[np.asarray(index, dtype=np.int64)]
     out = Tensor(a.data[index])
 
     def backward_fn(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, index, g)
-        _accumulate(a, ga)
+        _accumulate(a, _scatter_rows(g, index, a.data.shape[0]))
 
     return _record(out, (a,), backward_fn)
 
 
 def segment_sum(a: Tensor, segment_ids, num_segments: int | None = None) -> Tensor:
-    """Sum rows of `a` into one output row per segment id."""
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if a.data.ndim != 2:
-        raise ValueError("segment_sum expects a 2-D tensor")
-    if segment_ids.shape[0] != a.data.shape[0]:
-        raise ValueError("segment_ids length must match the row count")
-    n_seg = int(segment_ids.max()) + 1 if num_segments is None and segment_ids.size else num_segments
-    if n_seg is None:
-        n_seg = 0
-    result = np.zeros((n_seg, a.data.shape[1]), dtype=np.float64)
-    np.add.at(result, segment_ids, a.data)
-    out = Tensor(result)
+    """Sum rows of `a` into one output row per segment id in [0, num_segments)."""
+    ids = np.asarray(segment_ids, dtype=np.int64)
+    if a.data.ndim != 2 or ids.shape != a.data.shape[:1]:
+        raise ValueError(f"segment_sum needs a 2-D tensor and one id per row, got {a.data.shape}, {ids.shape}")
+    n_seg = (int(ids.max()) + 1 if ids.size else 0) if num_segments is None else num_segments
+    if ids.size and (ids.min() < 0 or ids.max() >= n_seg):
+        raise ValueError(f"segment_sum: segment ids must lie in [0, {n_seg}), got {ids.min()}..{ids.max()}")
+    out = Tensor(_scatter_rows(a.data, ids, n_seg))
 
     def backward_fn(g):
-        _accumulate(a, g[segment_ids])
+        _accumulate(a, g[ids])
+
+    return _record(out, (a,), backward_fn)
+
+
+class Propagation:
+    """S = diag(self_weight) + sum over directed edges src -> dst of coef * e_dst e_src^T on n rows
+    (coef None: 1 on every edge). Listing every edge both ways with one coefficient makes S
+    symmetric. Scatter keys and a message buffer are kept per feature width."""
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, n: int, self_weight, coef: np.ndarray | None = None):
+        self.src, self.dst, self.n, self.self_weight, self.coef = src, dst, n, self_weight, coef
+        self._keys, self._scratch = {}, {}
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        f = x.shape[1]
+        if f not in self._keys:
+            self._keys[f] = _flat_keys(self.dst, f)
+            self._scratch[f] = np.empty((max(self.src.size, self.n), f))
+        scratch = self._scratch[f]
+        # Every src id is < n, so "clip" changes none; the default "raise" would buffer `out`.
+        messages = np.take(x, self.src, axis=0, out=scratch[: self.src.size], mode="clip")
+        if self.coef is not None:
+            messages *= self.coef
+        out = _scatter_rows(messages, self.dst, self.n, self._keys[f])
+        out += np.multiply(x, self.self_weight, out=scratch[: self.n])
+        return out
+
+
+def propagate(a: Tensor, op: Propagation) -> Tensor:
+    """S a for a symmetric per-batch operator S; the backward is S g."""
+    if a.data.ndim != 2 or a.data.shape[0] != op.n:
+        raise ValueError(f"propagate needs ({op.n}, F) rows for its operator, got {a.data.shape}")
+    out = Tensor(_check_finite(op(a.data), "propagate"))
+
+    def backward_fn(g):
+        _accumulate(a, op(g))
 
     return _record(out, (a,), backward_fn)
 
@@ -259,10 +301,11 @@ def backward(loss: Tensor) -> None:
     """Populate .grad on every tensor the scalar `loss` depends on; clears the tape."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    tape = _tape()
+    tape = _STATE.tape
     try:
         loss.grad = np.ones_like(loss.data)
-        for out, backward_fn in reversed(tape):
+        while tape:  # popping lets each op's arrays go as soon as its gradient has moved on
+            out, backward_fn = tape.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
     finally:
@@ -304,7 +347,7 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 def finite_diff_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> dict:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import pickle
 import re
 
 import numpy as np
@@ -189,6 +190,10 @@ class TestConfigEcho:
         cfg = parse_config_text(block)
         assert (cfg.dataset_name, cfg.category, cfg.arch, cfg.readout) == (
             "PROTEINS", "biochemical", "gcn", "mean")
+
+    def test_config_pickles_as_gcl_config_runconfig(self):
+        cfg = parse_config_text(EVERY_KEY_SET)
+        assert type(cfg).__module__ == "gcl.config" and pickle.loads(pickle.dumps(cfg)) == cfg
 
     @pytest.mark.parametrize("text", ["", EVERY_KEY_SET], ids=["defaults", "every-key-set"])
     def test_echo_parses_back_to_the_same_config(self, text):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gcl import tensor as T
+from gcl.contrastive import nt_xent
 from gcl.graphs import Graph, permute_nodes
 from gcl.model import (
     EncoderConfig,
@@ -18,13 +19,93 @@ from gcl.model import (
     project,
     save_checkpoint,
 )
-from gcl.tensor import Tensor
+from gcl.tensor import Tensor, finite_diff_check
 
 from conftest import random_connected_graph
 
 
 def single(g):
     return make_batch([g])
+
+
+def dense_operator(graphs, arch, eps=0.0):
+    """The layer operator as a dense matrix over the batch's node table, from the edge lists."""
+    sizes = [g.num_nodes for g in graphs]
+    a = np.zeros((sum(sizes), sum(sizes)))
+    for g, offset in zip(graphs, np.cumsum(sizes) - sizes):
+        for u, v in g.edges + offset:
+            a[u, v] = a[v, u] = 1.0
+    if arch == "gin":
+        return a + (1.0 + eps) * np.eye(len(a))
+    d = 1.0 / np.sqrt(a.sum(axis=1) + 1.0)
+    return d[:, None] * (a + np.eye(len(a))) * d[None, :]
+
+
+class TestPropagate:
+    ISOLATED = Graph(1, np.zeros((0, 2), dtype=np.int64), np.array([[0.5, -1.0]]))
+    EDGELESS = Graph(3, np.zeros((0, 2), dtype=np.int64), np.arange(6.0).reshape(3, 2))
+
+    @pytest.mark.parametrize("arch, eps", [("gcn", 0.0), ("gin", 0.0), ("gin", 0.37), ("gin", -0.6)])
+    @pytest.mark.parametrize("case", ["connected", "with-isolated-node", "edgeless"])
+    def test_matches_dense_operator(self, arch, eps, case):
+        rng = np.random.default_rng(20)
+        graphs = {
+            "connected": [random_connected_graph(rng, n_min=4, n_max=9) for _ in range(3)],
+            "with-isolated-node": [random_connected_graph(rng, n_min=5, n_max=5), self.ISOLATED],
+            "edgeless": [self.EDGELESS, self.ISOLATED],
+        }[case]
+        batch = make_batch(graphs)
+        for width in (1, 2, 7):  # every width gets its own scatter keys
+            x = rng.normal(size=(batch.features.shape[0], width))
+            out = T.propagate(Tensor(x), batch.operator(arch, eps)).data
+            assert out.dtype == np.float64
+            np.testing.assert_allclose(out, dense_operator(graphs, arch, eps) @ x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("arch, eps", [("gcn", 0.0), ("gin", 0.25)])
+    def test_gradient_passes_finite_differences(self, arch, eps):
+        rng = np.random.default_rng(21)
+        batch = make_batch([random_connected_graph(rng, n_min=4, n_max=7) for _ in range(2)])
+        x = Tensor(rng.normal(size=(batch.features.shape[0], 3)), requires_grad=True)
+        probe = Tensor(rng.normal(size=x.data.shape))
+        op = batch.operator(arch, eps)
+        assert finite_diff_check(lambda ps: T.sum(T.mul(T.propagate(ps[0], op), probe)), [x])["passed"]
+
+    def test_operator_built_once_per_batch(self):
+        batch = make_batch([random_connected_graph(np.random.default_rng(22))])
+        assert batch.operator("gcn") is batch.operator("gcn")
+        assert batch.operator("gin", 0.5) is not batch.operator("gin", 0.0)
+
+    def test_wrong_row_count_rejected(self):
+        batch = make_batch([self.EDGELESS])
+        with pytest.raises(ValueError, match="propagate"):
+            T.propagate(Tensor(np.ones((4, 2))), batch.operator("gcn"))
+
+
+class TestTapeOps:
+    def test_one_gcn_layer_records_three_ops(self):
+        rng = np.random.default_rng(23)
+        batch = make_batch([random_connected_graph(rng, n_min=5, n_max=8)])
+        out = gcn_layer(Tensor(batch.features), batch, Tensor(rng.normal(size=(2, 4)), requires_grad=True))
+        assert T.tape_size() == 3  # matmul, propagate, relu
+        T.backward(T.sum(out))
+
+    def test_one_gin_layer_records_six_ops(self):
+        rng = np.random.default_rng(24)
+        batch = make_batch([random_connected_graph(rng, n_min=5, n_max=8)])
+        mlp = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((2, 4), 4, (4, 4), 4)]
+        out = gin_layer(Tensor(batch.features, requires_grad=True), batch, *mlp, eps=0.1)
+        assert T.tape_size() == 6  # propagate, matmul, add, relu, matmul, add
+        T.backward(T.sum(out))
+
+    @pytest.mark.parametrize("arch, ops", [("gcn", 34), ("gin", 50)])
+    def test_three_layer_pretrain_step(self, arch, ops):
+        rng = np.random.default_rng(25)
+        params = init_params(EncoderConfig(arch=arch, num_layers=3, hidden_dim=8), 2, 0, rng)
+        views = [make_batch([random_connected_graph(rng) for _ in range(4)]) for _ in range(2)]
+        z_i, z_j = (project(encode(batch, params), params) for batch in views)
+        loss = nt_xent(z_i, z_j, 0.5)
+        assert T.tape_size() == ops
+        T.backward(loss)
 
 
 class TestGCNLayer:

@@ -83,6 +83,16 @@ class TestFinetune:
         assert a.fold_accuracies == b.fold_accuracies
         assert a.config == b.config
 
+    def test_leaves_the_pretrained_params_bit_identical(self):
+        # Adam updates parameter data in place, so finetune must train a copy.
+        ds = make_corpus(20, families=("cycle", "star"), seed=4)
+        for arch in ("gcn", "gin"):
+            params = init_params(EncoderConfig(arch=arch, hidden_dim=8), ds.feature_dim, ds.num_classes,
+                                 np.random.default_rng(3))
+            before = {name: t.data.tobytes() for name, t in params.tensors.items()}
+            finetune(params, ds, SplitSpec(label_rate=0.5, folds=2, seed=5), epochs=2, lr=0.01)
+            assert {name: t.data.tobytes() for name, t in params.tensors.items()} == before
+
     def test_unlabeled_dataset_rejected(self):
         ds = make_corpus(8, families=("cycle",), seed=5)  # single class
         params = init_params(EncoderConfig(hidden_dim=4), ds.feature_dim, 1, np.random.default_rng(0))

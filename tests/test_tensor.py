@@ -23,6 +23,17 @@ class TestPrimitives:
         out = T.segment_sum(t([[1.0], [2.0], [3.0]], grad=False), [0, 0, 1])
         assert out.data.tolist() == [[3.0], [3.0]]
 
+    @pytest.mark.parametrize("ids, num_segments", [([-1, 0, 0], 2), ([0, 2, 1], 2), ([-2, -1, -1], None)])
+    def test_segment_sum_rejects_ids_outside_the_segments(self, ids, num_segments):
+        # A negative id used to wrap into the last segment: [-1, 0, 0] summed to [6, 1].
+        with pytest.raises(ValueError, match="segment_sum"):
+            T.segment_sum(t([[1.0], [2.0], [4.0]]), ids, num_segments)
+        assert T.tape_size() == 0
+
+    def test_transpose_is_a_view(self):
+        a = t(np.arange(6.0).reshape(2, 3), grad=False)
+        assert np.shares_memory(T.transpose(a).data, a.data)
+
     def test_matmul_shape_mismatch(self):
         with pytest.raises(ValueError):
             T.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
@@ -169,6 +180,68 @@ class TestFiniteDiff:
         assert finite_diff_check(f, [p])["passed"]
 
 
+class TestScatterRows:
+    @pytest.mark.parametrize("f", [1, 2, 32])
+    def test_bit_identical_to_add_at(self, f):
+        rng = np.random.default_rng(f)
+        index = rng.integers(0, 7, size=40)  # every id repeats
+        x = rng.normal(size=(40, f)) * 10.0 ** rng.integers(-8, 9, size=(40, 1))  # rounding shows in the sums
+        reference = np.zeros((9, f))
+        np.add.at(reference, index, x)
+        out = T._scatter_rows(x, index, 9)
+        assert out.dtype == np.float64 and out.tobytes() == reference.tobytes()
+
+    def test_no_rows(self):
+        out = T._scatter_rows(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
+        assert out.dtype == np.float64 and out.tolist() == [[0.0] * 3] * 4
+
+
+class TestGradientOwnership:
+    """The first gradient a tensor receives becomes its .grad without a copy unless
+    it is the incoming gradient, a view of it or a broadcast."""
+
+    @pytest.mark.parametrize("build", [
+        lambda ps, probe: T.add(ps[0], ps[0]),  # one leaf feeding both inputs of add
+        lambda ps, probe: T.add(T.mul_scalar(ps[0], 2.0), T.add(ps[0], ps[0])),
+        lambda ps, probe: (lambda y: T.add(y, y))(T.mul(ps[0], ps[1])),  # one intermediate, both inputs
+        lambda ps, probe: T.add(ps[0], T.mul_scalar(T.transpose(T.transpose(ps[0])), 3.0)),
+        lambda ps, probe: T.mul(ps[0], ps[2]),  # a one-column operand
+        lambda ps, probe: T.mul(ps[2], T.add(ps[0], ps[2])),
+    ], ids=["add-x-x", "add-reused", "add-y-y", "transpose", "mul-column", "add-column"])
+    def test_gradients_pass_finite_differences(self, build):
+        rng = np.random.default_rng(9)
+        params = [t(rng.normal(size=(4, 3))), t(rng.normal(size=(4, 3))), t(rng.normal(size=(4, 1)))]
+        probe = Tensor(rng.normal(size=(4, 3)))
+        assert finite_diff_check(lambda ps: T.sum(T.mul(build(ps, probe), probe)), params)["passed"]
+
+    def test_sum_gradient_is_writable_and_accumulates(self):
+        # sum's backward hands out a full array, not a read-only broadcast view.
+        x = t([[1.0, -2.0], [0.5, 3.0]])
+        backward(T.add(T.sum(x), T.sum(T.mul(x, x))))
+        np.testing.assert_array_equal(x.grad, 1.0 + 2.0 * x.data)
+        assert finite_diff_check(lambda ps: T.add(T.sum(ps[0]), T.sum(T.mul(ps[0], ps[0]))), [x])["passed"]
+
+    def test_no_two_grads_share_memory(self):
+        rng = np.random.default_rng(10)
+        x, w, b = t(rng.normal(size=(5, 3))), t(rng.normal(size=(3, 3))), t(rng.normal(size=3))
+        tensors = [x, w, b]
+        tensors.append(T.matmul(x, w))
+        tensors.append(T.add(tensors[-1], b))
+        tensors.append(T.add(tensors[-1], tensors[-1]))
+        tensors.append(T.relu(tensors[-1]))
+        tensors.append(T.transpose(tensors[-1]))
+        tensors.append(T.transpose(tensors[-1]))
+        tensors.append(T.add(tensors[-1], x))
+        tensors.append(T.mul(tensors[-1], T.Tensor(np.ones((5, 1)))))
+        tensors.append(T.segment_sum(tensors[-1], [0, 0, 1, 1, 1]))
+        backward(T.sum(tensors[-1]))
+        grads = [tensor.grad for tensor in tensors]
+        assert all(g is not None and g.flags.writeable for g in grads)
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+
+
 def reference_cross_entropy(logits, targets, exclude_target=False):
     """The five-primitive formula the cross_entropy op replaced, in numpy:
     shift by the max over allowed entries, exp, masked row sum, log, and
@@ -255,6 +328,20 @@ class TestAdam:
             return p.data.tobytes()
 
         assert run() == run()
+
+    def test_in_place_step_matches_the_out_of_place_formula(self):
+        rng = np.random.default_rng(11)
+        p = t(rng.normal(size=(4, 3)))
+        data, m, v = p.data.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+        opt = Adam([p], lr=0.03)
+        for step in range(1, 6):
+            g = rng.normal(size=(4, 3))
+            p.grad = g.copy()
+            opt.step()
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            data = data - 0.03 * (m / (1.0 - 0.9**step)) / (np.sqrt(v / (1.0 - 0.999**step)) + 1e-8)
+            assert p.data.tobytes() == data.tobytes()
 
     def test_non_finite_grad_rejected(self):
         p = t([1.0])
