@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import multiprocessing
 import os
 import sys
 import time
@@ -19,6 +20,11 @@ from datetime import datetime, timezone
 from functools import partial
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not POSIX: no rusage, and no fork for cell workers either
+    resource = None
 
 from . import __version__
 from .config import ConfigError, RunConfig, default_config, parse_config
@@ -127,6 +133,12 @@ def _experiment_base(cfg: RunConfig, category: str) -> ExperimentBase:
     )
 
 
+def _pool_fields(cfg: RunConfig) -> dict:
+    """run.jsonl fields on the cell pool: configured workers and the peak RSS of the largest worker."""
+    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss if resource else 0
+    return {"workers": cfg.workers, "children_peak_rss_mb": peak_kb / 1024}
+
+
 def _load_checkpoint_for(dataset, checkpoint):
     params = load_checkpoint(checkpoint)
     if params.feature_dim != dataset.feature_dim:
@@ -225,7 +237,7 @@ def _cmd_aug_grid(cfg, dataset, outdir, runlog, checkpoint):
             "scratch": _report_dict(result.scratch),
         },
     )
-    runlog.event("grid_done", cells=len(result.reports))
+    runlog.event("grid_done", cells=len(result.reports), **_pool_fields(cfg))
     return 0
 
 
@@ -271,7 +283,7 @@ def _cmd_sweep(protocol, cfg, dataset, outdir, runlog, checkpoint):
         os.path.join(outdir, "metrics.json"),
         {"protocol": protocol, "kind": cfg.sweep_kind, "points": _sweep_json(points, value_name)},
     )
-    runlog.event("sweep_done", points=len(points))
+    runlog.event("sweep_done", points=len(points), **_pool_fields(cfg))
     return 0
 
 
@@ -291,7 +303,7 @@ def _cmd_loss_compare(cfg, dataset, outdir, runlog, checkpoint):
             "final_losses": {name: curve.losses[-1] for name, curve in curves},
         },
     )
-    runlog.event("loss_compare_done", pairs=len(curves))
+    runlog.event("loss_compare_done", pairs=len(curves), **_pool_fields(cfg))
     return 0
 
 
@@ -326,6 +338,8 @@ def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int
         raise ConfigError(f"unknown command {command!r}")
     if checkpoint is not None and command not in CHECKPOINT_COMMANDS:
         raise ConfigError(f"{command} does not read --checkpoint (only {', '.join(CHECKPOINT_COMMANDS)} do)")
+    if cfg.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ConfigError(f"workers = {cfg.workers} needs forked worker processes, which this platform lacks")
     start = time.perf_counter()
     dataset = None if command == "grad-check" else _load_dataset(cfg)
     outdir = cfg.output or os.path.join("runs", command)
@@ -351,7 +365,7 @@ def _build_parser():
         p.add_argument("--config", help="run config file (INI)")
         p.add_argument("--checkpoint", help="pretrained checkpoint to start from")
         p.add_argument("--output", help="output directory (overrides env and config)")
-        p.add_argument("--workers", type=int, help="parallel grid/sweep cells")
+        p.add_argument("--workers", type=int, help="grid/sweep/loss-compare cells at once")
         p.add_argument("-v", "--verbose", action="count", default=0)
     return parser
 

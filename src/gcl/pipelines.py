@@ -5,15 +5,16 @@ and loss-curve comparisons.
 Every protocol is exactly reproducible from its config and seed: folds,
 labeled subsets, head initialization, and minibatch order all derive from
 named substreams of the split/pretrain seeds. Grid and sweep cells share one
-code path with a direct pretrain+finetune call, and may run in parallel
-worker threads (each cell owns its RNG streams and gradient tape).
+code path with a direct pretrain+finetune call, and may run in parallel forked
+worker processes (each cell owns its RNG streams, each process its tape).
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -297,7 +298,8 @@ def linear_probe(
 
 @dataclass(frozen=True)
 class ExperimentBase:
-    """Shared settings for grid/sweep cells: one pretrain + one finetune recipe."""
+    """Shared settings for grid/sweep cells: one pretrain + one finetune recipe,
+    and how many cells run at once (`workers`, in forked processes when > 1)."""
 
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
@@ -307,10 +309,10 @@ class ExperimentBase:
     finetune_batch: int = 32
     workers: int = 1
 
-    def scratch(self, dataset, split: SplitSpec | None = None) -> EvalReport:
+    def scratch(self, dataset) -> EvalReport:
         """The train-from-scratch baseline under this recipe's finetune settings."""
         return train_from_scratch(
-            dataset, split or self.split, self.finetune_epochs, self.finetune_lr, self.encoder, self.finetune_batch
+            dataset, self.split, self.finetune_epochs, self.finetune_lr, self.encoder, self.finetune_batch
         )
 
 
@@ -318,24 +320,29 @@ def _single_pool(kind: str, ratio: float, alpha: float = 0.0) -> AugmentationPoo
     return AugmentationPool(specs=(AugmentationSpec(kind=kind, ratio=ratio, alpha=alpha),))
 
 
-def _cell(dataset, base: ExperimentBase, pool_i, pool_j, seed=None, split=None):
+def _cell(dataset, base: ExperimentBase, pool_i, pool_j) -> EvalReport:
     """One grid/sweep cell: pretrain with the given pools, then finetune."""
-    cfg = replace(base.pretrain, pool_i=pool_i, pool_j=pool_j)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    params, curve = pretrain(dataset, cfg, base.encoder)
-    report = finetune(
-        params, dataset, split or base.split, base.finetune_epochs, base.finetune_lr, base.finetune_batch
-    )
-    return report, curve
+    params, _ = pretrain(dataset, replace(base.pretrain, pool_i=pool_i, pool_j=pool_j), base.encoder)
+    return finetune(params, dataset, base.split, base.finetune_epochs, base.finetune_lr, base.finetune_batch)
+
+
+def _curve(dataset, base: ExperimentBase, pool_i, pool_j) -> LossCurve:
+    """One loss-compare job: the pretraining loss curve with the given pools."""
+    return pretrain(dataset, replace(base.pretrain, pool_i=pool_i, pool_j=pool_j), base.encoder)[1]
 
 
 def _run_cells(jobs, workers):
+    """Each job's result, in job order. Two or more jobs and workers run the (pickled) jobs in that many forked
+    processes; the first failure cancels the jobs not yet started and reaches the caller."""
+    workers = min(workers, len(jobs))
     if workers <= 1:
         return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
         futures = [pool.submit(job) for job in jobs]
         return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -361,11 +368,10 @@ def aug_grid(dataset: GraphDataset, kinds, base: ExperimentBase, ratio: float = 
     cells = [(a, b) for a in range(len(labels)) for b in range(a, len(labels))]
     jobs = [partial(_cell, dataset, base, _single_pool(labels[a], ratio), _single_pool(labels[b], ratio))
             for a, b in cells]
-    results = _run_cells(jobs, base.workers)
     k = len(labels)
     acc = np.zeros((k, k))
     reports = {}
-    for (a, b), (report, _) in zip(cells, results):
+    for (a, b), report in zip(cells, _run_cells(jobs, base.workers)):
         acc[a, b] = acc[b, a] = report.mean
         reports[(labels[a], labels[b])] = report
     return GridResult(tuple(labels), acc, acc - scratch.mean, scratch, reports)
@@ -381,25 +387,16 @@ class SweepPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "mean", float(np.mean(self.accuracies)))
-        object.__setattr__(
-            self, "std", float(np.std(self.accuracies, ddof=1)) if len(self.accuracies) > 1 else 0.0
-        )
+        object.__setattr__(self, "std", float(np.std(self.accuracies, ddof=1)) if len(self.accuracies) > 1 else 0.0)
 
 
 def _sweep(dataset, base: ExperimentBase, points, pool_for_point, seeds):
-    seeds = tuple(seeds)
-    scratch = {s: base.scratch(dataset, replace(base.split, seed=s)).mean for s in seeds}
-    identity = _single_pool("Identity", 0.0)
-
-    jobs = [partial(_cell, dataset, base, identity, pool_for_point(v), seed=s, split=replace(base.split, seed=s))
-            for v in points for s in seeds]
-    results = _run_cells(jobs, base.workers)
-    means = iter(report.mean for report, _ in results)
-    rows = []
-    for value in points:
-        accs = tuple(next(means) for _ in seeds)
-        rows.append(SweepPoint(float(value), accs, tuple(a - scratch[s] for a, s in zip(accs, seeds))))
-    return rows
+    bases = [replace(base, pretrain=replace(base.pretrain, seed=s), split=replace(base.split, seed=s)) for s in seeds]
+    scratch = np.array([b.scratch(dataset).mean for b in bases])
+    jobs = [partial(_cell, dataset, b, _single_pool("Identity", 0.0), pool_for_point(v)) for v in points for b in bases]
+    accs = np.reshape([report.mean for report in _run_cells(jobs, base.workers)], (len(points), len(bases)))
+    gains = (accs - scratch).tolist()  # each seed's cell against the scratch run under the same seed
+    return [SweepPoint(float(v), tuple(a), tuple(g)) for v, a, g in zip(points, accs.tolist(), gains)]
 
 
 def strength_sweep(
@@ -437,11 +434,6 @@ def loss_curve_compare(
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ValueError("need at least two pairs to compare")
-
-    def job(kind_a, kind_b):
-        cfg = replace(base.pretrain, pool_i=_single_pool(kind_a, ratio), pool_j=_single_pool(kind_b, ratio))
-        return pretrain(dataset, cfg, base.encoder)[1]
-
-    jobs = [(lambda a=a, b=b: job(a, b)) for a, b in pairs]
+    jobs = [partial(_curve, dataset, base, _single_pool(a, ratio), _single_pool(b, ratio)) for a, b in pairs]
     curves = _run_cells(jobs, base.workers)
     return [(f"{a}+{b}", curve) for (a, b), curve in zip(pairs, curves)]

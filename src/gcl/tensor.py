@@ -2,10 +2,10 @@
 finite-difference gradient oracle.
 
 Define-by-run: every primitive checks its output for NaN/Inf and, when grads
-are enabled and any input requires them, appends a backward closure to a
-thread-local tape. `backward(loss)` walks the tape in reverse execution order
-(a valid topological order) and clears it. A tape therefore belongs to one
-thread; pure math under `no_grad()` is safe anywhere.
+are enabled and any input requires them, appends a backward closure to the
+process's one tape. `backward(loss)` walks the tape in reverse execution order
+(a valid topological order) and clears it. Tape work therefore runs on one
+thread per process; parallel work runs in (forked) worker processes.
 
 Gradient ownership: a backward closure hands `_accumulate` either a fresh
 array that nothing else holds, which becomes the input's `.grad` as it is, or
@@ -18,34 +18,28 @@ updates each parameter's data in place.
 from __future__ import annotations
 
 import builtins
-import threading
 from contextlib import contextmanager
 
 import numpy as np
 
 
-class _TapeState(threading.local):
-    """One tape and grad-enabled flag per thread, set up on the thread's first use."""
-
-    def __init__(self):
-        self.tape, self.grad_enabled = [], True
-
-
-_STATE = _TapeState()
+_TAPE: list = []  # (output tensor, backward closure) in execution order
+_grad_enabled = True
 
 
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block."""
-    prev, _STATE.grad_enabled = _STATE.grad_enabled, False
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
     try:
         yield
     finally:
-        _STATE.grad_enabled = prev
+        _grad_enabled = prev
 
 
 def tape_size() -> int:
-    return len(_STATE.tape)
+    return len(_TAPE)
 
 
 class Tensor:
@@ -79,9 +73,9 @@ def _accumulate(t: Tensor, grad: np.ndarray, owned: bool = True) -> None:
 
 
 def _record(out: Tensor, inputs, backward_fn) -> Tensor:
-    if _STATE.grad_enabled and any(t.requires_grad for t in inputs):
+    if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        _STATE.tape.append((out, backward_fn))
+        _TAPE.append((out, backward_fn))
     return out
 
 
@@ -301,15 +295,16 @@ def backward(loss: Tensor) -> None:
     """Populate .grad on every tensor the scalar `loss` depends on; clears the tape."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    tape = _STATE.tape
+    if not loss.requires_grad:  # e.g. a loss computed under no_grad(): training would learn nothing
+        raise ValueError("backward needs a loss recorded on the tape from tensors that require grad")
     try:
         loss.grad = np.ones_like(loss.data)
-        while tape:  # popping lets each op's arrays go as soon as its gradient has moved on
-            out, backward_fn = tape.pop()
+        while _TAPE:  # popping lets each op's arrays go as soon as its gradient has moved on
+            out, backward_fn = _TAPE.pop()
             if out.grad is not None:
                 backward_fn(out.grad)
     finally:
-        tape.clear()
+        _TAPE.clear()
 
 
 def zero_grad(tensors) -> None:

@@ -271,6 +271,47 @@ class TestCLI:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, setting", [(["--workers", "2"], ""), ([], "workers = 2\n")])
+    def test_workers_without_fork_rejected_before_loading(self, tmp_path, corpus_dir, capsys, monkeypatch,
+                                                           flag, setting):
+        monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr("gcl.cli.load_tudataset", lambda *a: pytest.fail("dataset loaded"))
+        cfg = tmp_path / "cfg.ini"
+        config_file(tmp_path, corpus_dir, name=cfg.name)
+        cfg.write_text(cfg.read_text().replace("[run]\n", "[run]\n" + setting))
+        out = tmp_path / "nofork"
+        assert main(["aug-grid", "--config", str(cfg), "--output", str(out), *flag]) == 1
+        assert "workers = 2 needs forked worker processes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, files", [
+        ("aug-grid", "kinds = NodeDrop\n", ("metrics.json", "grid_gain.csv", "grid_accuracy.csv")),
+        ("strength-sweep", "kind = NodeDrop\nratios = 0.1,0.2\n", ("metrics.json", "sweep.csv")),
+        ("pattern-sweep", "kind = AttrMask\nalphas = -1,1\n", ("metrics.json", "sweep.csv")),
+        ("loss-compare", "", ("metrics.json", "curves.csv")),
+    ])
+    def test_workers_leave_metric_files_byte_identical(self, tmp_path, corpus_dir, command, extra, files):
+        cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\n" + extra)
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert main([command, "--config", cfg, "--output", str(out), "--workers", str(workers)]) == 0
+            runs[workers] = {f: (out / f).read_bytes() for f in files}
+            events = [json.loads(line) for line in open(out / "run.jsonl")]
+            done = events[-2]["payload"]
+            assert done["workers"] == workers and "children_peak_rss_mb" in done
+        assert runs[1] == runs[2]
+        assert done["children_peak_rss_mb"] > 0.0  # the workers of the second run were reaped
+
+    def test_worker_failure_is_exit_2(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        def fail(*args, **kwargs):  # inherited by the forked workers
+            raise FloatingPointError("cell failed in a worker")
+
+        monkeypatch.setattr("gcl.pipelines.pretrain", fail)
+        cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\nkinds = NodeDrop\n")
+        assert main(["aug-grid", "--config", cfg, "--output", str(tmp_path / "fail"), "--workers", "2"]) == 2
+        assert "FloatingPointError: cell failed in a worker" in capsys.readouterr().err
+
     def test_missing_config_is_usage_error(self):
         assert main(["pretrain"]) == 1
 

@@ -163,6 +163,11 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(ds, cfg, EncoderConfig(hidden_dim=4))
 
+    def test_non_finite_loss_aborts(self):
+        cfg = PretrainConfig(batch_size=6, epochs=1, temperature=1e-320, seed=1)
+        with pytest.raises(FloatingPointError):
+            pretrain(self._dataset(), cfg, EncoderConfig(hidden_dim=8))
+
     def test_loss_curve_validations(self):
         with pytest.raises(ValueError):
             LossCurve(losses=(np.nan,))

@@ -1,4 +1,6 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +25,10 @@ from gcl.pipelines import (
     train_from_scratch,
 )
 from gcl.synth import make_corpus
+
+
+class CellFailure(Exception):
+    """Raised by a patched pretrain inside a worker process."""
 
 
 def small_base(seed=0, epochs=2, folds=2, label_rate=0.5):
@@ -72,6 +78,16 @@ class TestFinetune:
         assert all(0.0 <= a <= 1.0 for a in report.fold_accuracies)
         assert report.mean == pytest.approx(np.mean(report.fold_accuracies))
         assert report.std == pytest.approx(np.std(report.fold_accuracies, ddof=1))
+
+    def test_training_under_no_grad_is_rejected(self):
+        # A loss off the tape would leave every parameter untrained.
+        ds = make_corpus(20, families=("cycle", "star"), seed=4)
+        base = small_base(seed=1)
+        with T.no_grad():
+            with pytest.raises(ValueError, match="recorded on the tape"):
+                pretrain(ds, base.pretrain, base.encoder)
+            with pytest.raises(ValueError, match="recorded on the tape"):
+                base.scratch(ds)
 
     def test_fixed_seed_reproducible(self):
         ds = make_corpus(20, families=("cycle", "star"), seed=4)
@@ -375,7 +391,35 @@ class TestGridAndSweeps:
         serial = aug_grid(ds, ["NodeDrop"], small_base(seed=6), ratio=0.2)
         parallel_base = dataclasses.replace(small_base(seed=6), workers=3)
         parallel = aug_grid(ds, ["NodeDrop"], parallel_base, ratio=0.2)
+        assert not multiprocessing.active_children()
         assert np.array_equal(serial.accuracies, parallel.accuracies)
+        assert serial.scratch.fold_accuracies == parallel.scratch.fold_accuracies
+        assert serial.reports.keys() == parallel.reports.keys()
+        for key, report in serial.reports.items():
+            assert (report.fold_accuracies, report.config) == (
+                parallel.reports[key].fold_accuracies, parallel.reports[key].config)
+        pairs = [("AttrMask", "AttrMask"), ("AttrMask", "NodeDrop"), ("NodeDrop", "Identity")]
+        serial_curves = loss_curve_compare(ds, pairs, small_base(seed=6))
+        assert loss_curve_compare(ds, pairs, parallel_base) == serial_curves
+
+    def test_worker_failure_reaches_the_caller_with_its_type(self, monkeypatch):
+        parent = os.getpid()
+
+        def fail(*args, **kwargs):  # inherited by the forked workers
+            raise CellFailure(os.getpid())
+
+        monkeypatch.setattr(pipelines, "pretrain", fail)
+        ds = make_corpus(12, families=("cycle", "star"), seed=17)
+        with pytest.raises(CellFailure) as err:
+            aug_grid(ds, ["NodeDrop", "AttrMask"], dataclasses.replace(small_base(seed=6), workers=2))
+        assert err.value.args[0] != parent
+        assert not multiprocessing.active_children()
+
+    def test_one_job_or_one_worker_runs_in_process(self):
+        jobs = [os.getpid, os.getpid]
+        assert pipelines._run_cells(jobs, 1) == [os.getpid()] * 2
+        assert pipelines._run_cells(jobs[:1], 4) == [os.getpid()]
+        assert os.getpid() not in pipelines._run_cells(jobs, 2)
 
 
 class TestLossCompare:

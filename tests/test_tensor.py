@@ -105,6 +105,15 @@ class TestBackward:
         assert T.tape_size() == 0
         assert not y.requires_grad
 
+    def test_backward_rejects_a_loss_off_the_tape(self):
+        with pytest.raises(ValueError, match="recorded on the tape"):
+            backward(Tensor(1.0))
+        x = t([1.0, 2.0])
+        with no_grad():
+            loss = T.sum(T.mul(x, x))
+        with pytest.raises(ValueError, match="recorded on the tape"):
+            backward(loss)
+
 
 class TestFiniteDiff:
     def test_quadratic_passes(self):
