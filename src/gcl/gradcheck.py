@@ -1,8 +1,9 @@
 """Finite-difference verification of every composite gradient the trainer
-relies on: GCN layer, GIN layer (both with respect to their node table as
-well as their weights), projection head, classifier head with cross-entropy,
-the contrastive loss in both variants, and the whole pretraining graph end to
-end (encode -> project -> contrastive loss).
+relies on: GCN layer (in both aggregation orders), GIN layer (both with
+respect to their node table as well as their weights), projection head,
+classifier head with cross-entropy, the contrastive loss in both variants,
+and the whole pretraining graph end to end (encode -> project -> contrastive
+loss).
 
 Each check draws random inputs/parameters, contracts the composite's output
 with a fixed random probe matrix to get a scalar, and compares analytic
@@ -25,7 +26,7 @@ HIDDEN = 4
 FEATURE_DIM = 3
 
 
-def _random_batch(rng, num_graphs=2, max_nodes=6):
+def _random_batch(rng, num_graphs=2, max_nodes=6, feature_dim=FEATURE_DIM):
     graphs = []
     for _ in range(num_graphs):
         n = int(rng.integers(4, max_nodes + 1))
@@ -33,7 +34,7 @@ def _random_batch(rng, num_graphs=2, max_nodes=6):
         count = int(rng.integers(n - 1, len(pairs) + 1))
         take = rng.permutation(len(pairs))[:count]
         edges = np.asarray(sorted(pairs[i] for i in take), dtype=np.int64)
-        graphs.append(Graph(n, edges, rng.normal(size=(n, FEATURE_DIM))))
+        graphs.append(Graph(n, edges, rng.normal(size=(n, feature_dim))))
     return make_batch(graphs)
 
 
@@ -43,8 +44,10 @@ def _draw(rng, *shapes, scale=1.0):
 
 
 def check_gcn_layer(rng, h=1e-5, tol=1e-4):
-    batch = _random_batch(rng)
-    params = [Tensor(batch.features.copy(), requires_grad=True), *_draw(rng, (FEATURE_DIM, HIDDEN))]
+    # An input narrower than HIDDEN is propagated before the weight, a wider one after it.
+    width = (FEATURE_DIM, HIDDEN + 1)[rng.integers(2)]
+    batch = _random_batch(rng, feature_dim=width)
+    params = [Tensor(batch.features.copy(), requires_grad=True), *_draw(rng, (width, HIDDEN))]
     probe = Tensor(rng.normal(size=(batch.features.shape[0], HIDDEN)))
 
     def f(ps):

@@ -2,9 +2,11 @@
 classifier head on top of the tensor engine.
 
 Graphs are batched by concatenating node features and edge lists with global
-node ids plus a node-to-graph segment vector. A layer's message passing is one
-tape op, `tensor.propagate`, with the batch's symmetric operator: S = D^-1/2
-(A + I) D^-1/2 for GCN, A + (1 + eps) I for GIN. The operator (edge
+node ids plus a node-to-graph segment vector. Message passing uses the batch's
+symmetric operator: S = D^-1/2 (A + I) D^-1/2 for GCN, A + (1 + eps) I for GIN.
+A GCN layer is one tape op, `tensor.gcn_conv`, that propagates on the narrower
+side of its weight: (S h) W when h has fewer columns than W, else S (h W). A
+GIN layer aggregates first with one `tensor.propagate`. The operator (edge
 coefficients, self weights and scatter keys) is built once per batch and
 shared by every layer and the backward pass. S is block-diagonal over the
 graphs, so batching a set of graphs is numerically equivalent to encoding them
@@ -102,7 +104,7 @@ def make_batch(graphs) -> GraphBatch:
 
 def gcn_layer(h: Tensor, batch: GraphBatch, weight: Tensor) -> Tensor:
     """ReLU(S h W) with S the symmetric-normalized adjacency with self-loops."""
-    return T.relu(T.propagate(T.matmul(h, weight), batch.operator("gcn")))
+    return T.gcn_conv(h, weight, batch.operator("gcn"))
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps: float = 0.0) -> Tensor:

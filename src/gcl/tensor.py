@@ -13,6 +13,11 @@ array that nothing else holds, which becomes the input's `.grad` as it is, or
 copied first. Later contributions are added in place, so no two tensors'
 `.grad` share memory and no gradient starts as a zero buffer. `Adam.step`
 updates each parameter's data in place.
+
+Graph ops take a batch's symmetric `Propagation` S. `propagate` is S a, and
+`gcn_conv` is a whole GCN layer, ReLU(S h W), as one op: it scatters on the
+narrower side of W and keeps only h, W, its output and (narrow side) S h for
+the backward, so no intermediate n x H table stays on the tape.
 """
 
 from __future__ import annotations
@@ -271,6 +276,27 @@ def propagate(a: Tensor, op: Propagation) -> Tensor:
         _accumulate(a, op(g))
 
     return _record(out, (a,), backward_fn)
+
+
+def gcn_conv(h: Tensor, w: Tensor, op: Propagation) -> Tensor:
+    """ReLU(S h W), propagated on the narrower side: (S h) W when h has fewer columns than W
+    has, else S (h W). The backward masks g by out > 0; the closure keeps h, W, out and S h."""
+    hd, wd = h.data, w.data
+    if hd.ndim != 2 or wd.ndim != 2 or hd.shape != (op.n, wd.shape[0]):
+        raise ValueError(f"gcn_conv needs ({op.n}, F) rows and (F, H) weights, got {hd.shape} and {wd.shape}")
+    sh = op(hd) if hd.shape[1] < wd.shape[1] else None
+    out = _check_finite(op(hd @ wd) if sh is None else sh @ wd, "gcn_conv")
+    np.maximum(out, 0.0, out=out)  # the fresh product or scatter output becomes the ReLU's
+
+    def backward_fn(g):
+        g = g * (out > 0.0)
+        sg = op(g) if sh is None else None  # S g on the wide side
+        if w.requires_grad:
+            _accumulate(w, hd.T @ sg if sh is None else sh.T @ g)
+        if h.requires_grad:
+            _accumulate(h, sg @ wd.T if sh is None else op(g @ wd.T))
+
+    return _record(Tensor(out), (h, w), backward_fn)
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:

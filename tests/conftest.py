@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
+from gcl import tensor
 from gcl.graphs import Graph
+
+
+@pytest.fixture(autouse=True)
+def isolated_tape():
+    """Empty the process's tape and restore the grad flag after every test, so a test that
+    fails between recording and `backward` cannot leave its ops to the next one."""
+    grad_enabled = tensor._grad_enabled
+    yield
+    tensor._TAPE.clear()
+    tensor._grad_enabled = grad_enabled
 
 
 def make_graph(n, edges, label=None, feature_dim=2, rng=None):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,19 +42,25 @@ def dense_operator(graphs, arch, eps=0.0):
     return d[:, None] * (a + np.eye(len(a))) * d[None, :]
 
 
-class TestPropagate:
-    ISOLATED = Graph(1, np.zeros((0, 2), dtype=np.int64), np.array([[0.5, -1.0]]))
-    EDGELESS = Graph(3, np.zeros((0, 2), dtype=np.int64), np.arange(6.0).reshape(3, 2))
+ISOLATED = Graph(1, np.zeros((0, 2), dtype=np.int64), np.array([[0.5, -1.0]]))
+EDGELESS = Graph(3, np.zeros((0, 2), dtype=np.int64), np.arange(6.0).reshape(3, 2))
+CASES = ["connected", "with-isolated-node", "edgeless"]
 
+
+def case_graphs(rng, case):
+    return {
+        "connected": [random_connected_graph(rng, n_min=4, n_max=9) for _ in range(3)],
+        "with-isolated-node": [random_connected_graph(rng, n_min=5, n_max=5), ISOLATED],
+        "edgeless": [EDGELESS, ISOLATED],
+    }[case]
+
+
+class TestPropagate:
     @pytest.mark.parametrize("arch, eps", [("gcn", 0.0), ("gin", 0.0), ("gin", 0.37), ("gin", -0.6)])
-    @pytest.mark.parametrize("case", ["connected", "with-isolated-node", "edgeless"])
+    @pytest.mark.parametrize("case", CASES)
     def test_matches_dense_operator(self, arch, eps, case):
         rng = np.random.default_rng(20)
-        graphs = {
-            "connected": [random_connected_graph(rng, n_min=4, n_max=9) for _ in range(3)],
-            "with-isolated-node": [random_connected_graph(rng, n_min=5, n_max=5), self.ISOLATED],
-            "edgeless": [self.EDGELESS, self.ISOLATED],
-        }[case]
+        graphs = case_graphs(rng, case)
         batch = make_batch(graphs)
         for width in (1, 2, 7):  # every width gets its own scatter keys
             x = rng.normal(size=(batch.features.shape[0], width))
@@ -76,17 +83,84 @@ class TestPropagate:
         assert batch.operator("gin", 0.5) is not batch.operator("gin", 0.0)
 
     def test_wrong_row_count_rejected(self):
-        batch = make_batch([self.EDGELESS])
+        batch = make_batch([EDGELESS])
         with pytest.raises(ValueError, match="propagate"):
             T.propagate(Tensor(np.ones((4, 2))), batch.operator("gcn"))
 
 
+class TestGcnConv:
+    @staticmethod
+    def chain(h, w, op):
+        """The three-op layer that gcn_conv replaces."""
+        return T.relu(T.propagate(T.matmul(h, w), op))
+
+    @pytest.mark.parametrize("width", [2, 5, 7])  # narrower than, as wide as and wider than W's 5 columns
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_three_op_chain(self, width, case):
+        rng = np.random.default_rng(26)
+        op = make_batch(case_graphs(rng, case)).operator("gcn")
+        x, w0 = rng.normal(size=(op.n, width)), rng.normal(size=(width, 5))
+        probe = Tensor(rng.normal(size=(op.n, 5)))
+        results = []
+        for layer in (T.gcn_conv, self.chain):
+            h, w = Tensor(x.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+            out = layer(h, w, op)
+            T.backward(T.sum(T.mul(out, probe)))
+            results.append((out.data, h.grad, w.grad))
+        assert (results[0][0] == 0.0).any() and (results[0][0] > 0.0).any()  # the ReLU mask matters
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            if width >= 5:  # the wide side does the chain's arithmetic in the chain's order
+                assert np.array_equal(got, want)
+
+    def test_constant_input_needs_no_gradient(self):
+        rng = np.random.default_rng(28)
+        op = make_batch(case_graphs(rng, "connected")).operator("gcn")
+        h, w = Tensor(rng.normal(size=(op.n, 2))), Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+        T.backward(T.sum(T.gcn_conv(h, w, op)))
+        assert h.grad is None and w.grad.shape == (2, 6)
+
+    def test_no_grad_records_nothing(self):
+        rng = np.random.default_rng(29)
+        op = make_batch(case_graphs(rng, "with-isolated-node")).operator("gcn")
+        h, w = Tensor(rng.normal(size=(op.n, 2)), requires_grad=True), Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        with T.no_grad():
+            out = T.gcn_conv(h, w, op)
+        assert T.tape_size() == 0 and not out.requires_grad
+        np.testing.assert_allclose(out.data, self.chain(Tensor(h.data), Tensor(w.data), op).data, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("h_shape, w_shape", [((4, 2), (2, 3)), ((3, 2), (3, 3)), ((3, 2), (2,)), ((3,), (1, 3))])
+    def test_wrong_shapes_rejected(self, h_shape, w_shape):
+        op = make_batch([EDGELESS]).operator("gcn")
+        with pytest.raises(ValueError, match="gcn_conv"):
+            T.gcn_conv(Tensor(np.ones(h_shape)), Tensor(np.ones(w_shape)), op)
+
+    def test_encode_keeps_only_layer_outputs_until_backward(self):
+        # 3 layers x 32 columns on ~4,000 nodes: each layer output is about 1 MB, and that is all a
+        # layer keeps; one that also kept its matmul and propagate outputs would hold about 3 MB.
+        rng = np.random.default_rng(30)
+        batch = make_batch([random_connected_graph(rng, n_min=380, n_max=420, extra_frac=1.0) for _ in range(10)])
+        params = init_params(EncoderConfig(arch="gcn", num_layers=3, hidden_dim=32), 2, 0, rng)
+        with T.no_grad():  # builds the operator and its scatter keys for every width
+            encode(batch, params)
+        layer_output = batch.features.shape[0] * 32 * 8
+        tracemalloc.start()
+        try:
+            pooled = encode(batch, params)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        T.backward(T.sum(pooled))
+        assert 3800 <= batch.features.shape[0] <= 4200
+        assert held < 1.5 * 3 * layer_output, f"{held / 2**20:.1f} MB held before backward"
+
+
 class TestTapeOps:
-    def test_one_gcn_layer_records_three_ops(self):
+    def test_one_gcn_layer_records_one_op(self):
         rng = np.random.default_rng(23)
         batch = make_batch([random_connected_graph(rng, n_min=5, n_max=8)])
         out = gcn_layer(Tensor(batch.features), batch, Tensor(rng.normal(size=(2, 4)), requires_grad=True))
-        assert T.tape_size() == 3  # matmul, propagate, relu
+        assert T.tape_size() == 1  # gcn_conv
         T.backward(T.sum(out))
 
     def test_one_gin_layer_records_six_ops(self):
@@ -97,7 +171,7 @@ class TestTapeOps:
         assert T.tape_size() == 6  # propagate, matmul, add, relu, matmul, add
         T.backward(T.sum(out))
 
-    @pytest.mark.parametrize("arch, ops", [("gcn", 34), ("gin", 50)])
+    @pytest.mark.parametrize("arch, ops", [("gcn", 22), ("gin", 50)])
     def test_three_layer_pretrain_step(self, arch, ops):
         rng = np.random.default_rng(25)
         params = init_params(EncoderConfig(arch=arch, num_layers=3, hidden_dim=8), 2, 0, rng)
