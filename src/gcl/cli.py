@@ -27,6 +27,7 @@ except ImportError:  # not POSIX: no rusage, and no fork for cell workers either
     resource = None
 
 from . import __version__
+from .augment import BIASED_KINDS
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .contrastive import pretrain
 from .gradcheck import run_gradient_checks
@@ -274,7 +275,7 @@ def _cmd_sweep(protocol, cfg, dataset, outdir, runlog, checkpoint):
         value_name = "ratio"
         points = strength_sweep(dataset, cfg.sweep_kind, cfg.sweep_ratios, base, seeds=seeds)
     else:
-        if cfg.sweep_kind not in ("NodeDrop", "AttrMask"):
+        if cfg.sweep_kind not in BIASED_KINDS:
             raise ConfigError("[sweep] kind must be NodeDrop or AttrMask for pattern sweeps")
         value_name = "alpha"
         points = pattern_sweep(dataset, cfg.sweep_kind, cfg.sweep_alphas, base, ratio=cfg.sweep_ratio, seeds=seeds)

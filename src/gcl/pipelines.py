@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .augment import DEFAULT_RATIO, AugmentationPool, AugmentationSpec, _round_half_up
+from .augment import BIASED_KINDS, DEFAULT_RATIO, AugmentationPool, AugmentationSpec, _round_half_up
 from .contrastive import LossCurve, PretrainConfig, pretrain
 from .graphs import GraphDataset
 from .model import (
@@ -419,7 +419,7 @@ def pattern_sweep(
 ) -> list[SweepPoint]:
     """Accuracy versus degree-bias control factor at fixed ratio; only node
     dropping and attribute masking support the bias."""
-    if kind not in ("NodeDrop", "AttrMask"):
+    if kind not in BIASED_KINDS:
         raise ValueError("pattern sweeps support NodeDrop and AttrMask only")
     return _sweep(
         dataset, base, [float(a) for a in alphas], lambda a: _single_pool(kind, ratio, alpha=a), seeds

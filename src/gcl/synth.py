@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph, GraphDataset, degrees
+from .graphs import Graph, GraphDataset
 
 FAMILIES = ("cycle", "star", "clique", "tree", "community")
 
@@ -97,7 +97,7 @@ def make_graph(family: str, n: int, rng: np.random.Generator, noise: float = 0.0
     arr = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
     # Normalized degree plus a constant column: rank-2 features keep
     # bias-free encoders away from the collinear-embedding degeneracy.
-    deg = degrees(Graph(n, arr, np.zeros((n, 1)))).astype(np.float64)
+    deg = np.bincount(arr.ravel(), minlength=n).astype(np.float64)
     feats = np.stack([deg / max(deg.max(), 1.0), np.ones(n)], axis=1)
     return Graph(n, arr, feats, label)
 

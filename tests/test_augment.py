@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcl.augment import (
-    RESTART_PROB,
     AugmentationError,
     AugmentationPool,
     AugmentationSpec,
@@ -20,7 +19,7 @@ from gcl.augment import (
     sample_view_pair,
     subgraph_rw,
 )
-from gcl.graphs import validate
+from gcl.graphs import Graph, validate
 from gcl.synth import make_corpus
 
 from conftest import is_connected, make_graph, random_connected_graph
@@ -194,6 +193,11 @@ class TestAttrMask:
         assert out.edges.tolist() == g.edges.tolist()
 
 
+def path_with_ids(n):
+    """Path 0-1-...-(n-1) whose one feature column is each node's id, so a view names its nodes."""
+    return Graph(n, [(i, i + 1) for i in range(n - 1)], np.arange(n, dtype=np.float64)[:, None])
+
+
 class TestSubgraphRW:
     def test_k10_connected_and_sized(self):
         g = make_graph(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
@@ -203,7 +207,7 @@ class TestSubgraphRW:
 
     def test_ratio_zero_retains_all(self):
         g = random_connected_graph(rng(19), n_min=6, n_max=8)
-        out = subgraph_rw(g, 0.0, rng(20), max_steps=100_000)
+        out = subgraph_rw(g, 0.0, rng(20))
         assert out.num_nodes == g.num_nodes
 
     def test_cannot_cross_components(self):
@@ -213,25 +217,39 @@ class TestSubgraphRW:
         assert out.num_nodes == 3
         assert out.num_edges == 3  # one full triangle, never a mix
 
-    def test_budget_exhaustion_returns_partial(self):
-        g = random_connected_graph(rng(22), n_min=10, n_max=10)
-        out = subgraph_rw(g, 0.0, rng(23), max_steps=1)
-        assert 1 <= out.num_nodes <= 2
+    def test_small_component_kept_whole(self):
+        # The target of 6 nodes exceeds the seed's component: the view is that triangle.
+        g = make_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        r = rng(22)
+        for _ in range(20):
+            out = subgraph_rw(g, 0.0, r)
+            assert (out.num_nodes, out.num_edges) == (3, 3)
+
+    def test_path_views_are_contiguous(self):
+        # Frontier expansion on a path keeps an interval: 5 consecutive nodes, 4 edges.
+        g = path_with_ids(10)
+        r = rng(23)
+        for _ in range(200):
+            out = subgraph_rw(g, 0.5, r)
+            kept = out.node_features[:, 0]
+            assert out.num_nodes == 5 and out.num_edges == 4
+            assert kept.tolist() == list(range(int(kept[0]), int(kept[0]) + 5))
 
     def test_single_node_rejected(self):
         with pytest.raises(AugmentationError):
             subgraph_rw(make_graph(1, []), 0.2, rng(0))
 
-    def test_restart_law_one_step(self):
+    def test_middle_of_path4_has_probability_one_quarter(self):
         from scipy import stats
 
-        # With no isolated node, the one step restarts (1 node) with
-        # probability RESTART_PROB or moves to a new neighbor (2 nodes).
-        g = random_connected_graph(rng(39), n_min=10, n_max=10)
+        # Path 0-1-2-3 at ratio 0.5 keeps 2 nodes. The middle pair {1, 2} comes
+        # from seed 1 then neighbour 2 of frontier {0, 2}, or the mirror image:
+        # 2 * (1/4 * 1/2) = 1/4.
+        g = path_with_ids(4)
         r = rng(40)
-        twos = sum(subgraph_rw(g, 0.0, r, max_steps=1).num_nodes == 2 for _ in range(4000))
-        lo, hi = stats.binom.interval(0.999, 4000, 1.0 - RESTART_PROB)
-        assert lo <= twos <= hi
+        middle = sum(subgraph_rw(g, 0.5, r).node_features[:, 0].tolist() == [1.0, 2.0] for _ in range(4000))
+        lo, hi = stats.binom.interval(0.999, 4000, 0.25)
+        assert lo <= middle <= hi
 
 
 class TestApplyAndPools:
@@ -292,6 +310,12 @@ class TestApplyAndPools:
         with pytest.raises(ValueError):
             AugmentationPool(specs=())
 
+    @pytest.mark.parametrize("kind", ["Identity", "EdgePerturb", "Subgraph"])
+    def test_alpha_rejected_where_unused(self, kind):
+        with pytest.raises(ValueError, match="alpha"):
+            AugmentationSpec(kind=kind, alpha=1.5)
+        assert AugmentationSpec(kind=kind, alpha=0.0).alpha == 0.0
+
 
 class TestSharedProperties:
     @pytest.mark.parametrize("ratio", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
@@ -305,8 +329,8 @@ class TestSharedProperties:
             masked = attr_mask(g, ratio, 0.0, r)
             zero = (np.abs(masked.node_features).sum(axis=1) == 0).sum()
             assert zero == min(int(np.floor(ratio * n + 0.5)), n)
-            sub = subgraph_rw(g, ratio, r, max_steps=50 * n)
-            assert sub.num_nodes <= max(1, int(np.floor((1 - ratio) * n + 0.5)))
+            sub = subgraph_rw(g, ratio, r)
+            assert sub.num_nodes == max(1, int(np.floor((1 - ratio) * n + 0.5)))
 
     def test_label_and_feature_dim_preserved(self):
         r = np.random.default_rng(31)

@@ -73,6 +73,10 @@ class TestParseConfig:
         assert pool.specs[0].alpha == 1.5
         assert pool.specs[1].ratio == 0.2
 
+    def test_pool_spec_alpha_rejected_where_unused(self):
+        with pytest.raises(ConfigError, match="'Subgraph:0.2:1.5'.*alpha"):
+            parse_pool_spec("NodeDrop:0.3:1.5, Subgraph:0.2:1.5")
+
     def test_sweep_lists(self):
         cfg = parse_config_text("[sweep]\nratios = 0.1, 0.3\nalphas = -1, 1\npairs = NodeDrop+Subgraph\n")
         assert cfg.sweep_ratios == [0.1, 0.3]

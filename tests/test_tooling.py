@@ -50,7 +50,7 @@ def test_tracer_counts_edge_perturb_and_subgraph_calls():
     finally:
         tracer.uninstall()
     assert tracer.counts["subgraph_walks"] == 1
-    assert "subgraph_short" in tracer.counts
+    assert tracer.counts["subgraph_short"] == 0  # a connected tree yields the full target size
     assert tracer.counts["edge_perturb_peak_bytes"] > 0
     assert {"augment.EdgePerturb.tracemalloc", "augment.Subgraph"} <= {s[1] for s in tracer.spans}
 
