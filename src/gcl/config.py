@@ -193,6 +193,8 @@ def parse_pool_spec(text: str) -> AugmentationPool:
         parts = item.split(":")
         if len(parts) > 3:
             raise ConfigError(f"bad pool entry {item!r}: too many ':' fields")
+        if parts[0] == "Identity" and len(parts) > 1:  # it would run at no strength whatever the fields say
+            raise ConfigError(f"bad pool entry {item!r}: Identity takes no ratio or alpha")
         try:
             ratio = _float(parts[1]) if len(parts) > 1 else 0.2
             alpha = _float(parts[2]) if len(parts) > 2 else 0.0

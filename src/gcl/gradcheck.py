@@ -1,9 +1,8 @@
 """Finite-difference verification of every composite gradient the trainer
-relies on: GCN layer (in both aggregation orders), GIN layer (both with
-respect to their node table as well as their weights), projection head,
-classifier head with cross-entropy, the contrastive loss in both variants,
-and the whole pretraining graph end to end (encode -> project -> contrastive
-loss).
+relies on: GCN layer and GIN layer (in both aggregation orders, with respect
+to their node table as well as their weights), projection head, classifier
+head with cross-entropy, the contrastive loss in both variants, and the whole
+pretraining graph end to end (encode -> project -> contrastive loss).
 
 Each check draws random inputs/parameters, contracts the composite's output
 with a fixed random probe matrix to get a scalar, and compares analytic
@@ -57,9 +56,10 @@ def check_gcn_layer(rng, h=1e-5, tol=1e-4):
 
 
 def check_gin_layer(rng, h=1e-5, tol=1e-4):
-    batch = _random_batch(rng)
+    width = (FEATURE_DIM, HIDDEN)[rng.integers(2)]  # propagated before W1, or (as wide) after it
+    batch = _random_batch(rng, feature_dim=width)
     x = Tensor(batch.features.copy(), requires_grad=True)
-    params = [x, *_draw(rng, (FEATURE_DIM, HIDDEN), HIDDEN, (HIDDEN, HIDDEN), HIDDEN)]
+    params = [x, *_draw(rng, (width, HIDDEN), HIDDEN, (HIDDEN, HIDDEN), HIDDEN)]
     probe = Tensor(rng.normal(size=(batch.features.shape[0], HIDDEN)))
     eps = float(rng.uniform(-0.5, 0.5))
 

@@ -4,13 +4,13 @@ classifier head on top of the tensor engine.
 Graphs are batched by concatenating node features and edge lists with global
 node ids plus a node-to-graph segment vector. Message passing uses the batch's
 symmetric operator: S = D^-1/2 (A + I) D^-1/2 for GCN, A + (1 + eps) I for GIN.
-A GCN layer is one tape op, `tensor.gcn_conv`, that propagates on the narrower
-side of its weight: (S h) W when h has fewer columns than W, else S (h W). A
-GIN layer aggregates first with one `tensor.propagate`. The operator (edge
-coefficients, self weights and scatter keys) is built once per batch and
-shared by every layer and the backward pass. S is block-diagonal over the
-graphs, so batching a set of graphs is numerically equivalent to encoding them
-one by one.
+Both layers apply S in one tape op, `tensor.graph_conv` = ReLU(S h W + b), on
+the narrower side of W: (S h) W when h has fewer columns, else S (h W). GCN
+runs it with no bias; GIN runs it with its first Linear, then its second. The
+operator (edge coefficients, self weights and scatter keys) is built once per
+batch and shared by every layer and the backward pass. S is block-diagonal over
+the graphs, so batching a set of graphs is numerically equivalent to encoding
+them one by one.
 """
 
 from __future__ import annotations
@@ -104,13 +104,12 @@ def make_batch(graphs) -> GraphBatch:
 
 def gcn_layer(h: Tensor, batch: GraphBatch, weight: Tensor) -> Tensor:
     """ReLU(S h W) with S the symmetric-normalized adjacency with self-loops."""
-    return T.gcn_conv(h, weight, batch.operator("gcn"))
+    return T.graph_conv(h, weight, batch.operator("gcn"))
 
 
 def gin_layer(h: Tensor, batch: GraphBatch, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, eps: float = 0.0) -> Tensor:
     """MLP((1 + eps) * h + sum of neighbor embeddings), MLP = Linear-ReLU-Linear."""
-    hidden = T.relu(T.add(T.matmul(T.propagate(h, batch.operator("gin", eps)), w1), b1))
-    return T.add(T.matmul(hidden, w2), b2)
+    return T.add(T.matmul(T.graph_conv(h, w1, batch.operator("gin", eps), b1), w2), b2)
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -190,8 +189,7 @@ def encode(batch: GraphBatch, params: ModelParams) -> Tensor:
         if cfg.arch == "gcn":
             h = gcn_layer(h, batch, params.tensors[f"enc{k}.W"])
         else:
-            mlp = (params.tensors[f"enc{k}.{name}"] for name in ("W1", "b1", "W2", "b2"))
-            h = gin_layer(h, batch, *mlp, eps=cfg.gin_eps)
+            h = gin_layer(h, batch, *(params.tensors[f"enc{k}.{n}"] for n in ("W1", "b1", "W2", "b2")), eps=cfg.gin_eps)
     pooled = T.segment_sum(h, batch.segments, batch.num_graphs)
     if cfg.readout == "mean":
         pooled = T.mul(pooled, Tensor(1.0 / batch.node_counts.astype(np.float64)[:, None]))

@@ -14,10 +14,10 @@ copied first. Later contributions are added in place, so no two tensors'
 `.grad` share memory and no gradient starts as a zero buffer. `Adam.step`
 updates each parameter's data in place.
 
-Graph ops take a batch's symmetric `Propagation` S. `propagate` is S a, and
-`gcn_conv` is a whole GCN layer, ReLU(S h W), as one op: it scatters on the
-narrower side of W and keeps only h, W, its output and (narrow side) S h for
-the backward, so no intermediate n x H table stays on the tape.
+Graph ops take a batch's symmetric `Propagation` S. `graph_conv`, ReLU(S h W + b),
+is the one op that applies S in a layer (all of GCN's, GIN's aggregation and first
+Linear). It scatters on the narrower side of W and keeps only h, W, b, its output
+and (narrow side) S h for the backward, so no n x H intermediate stays on the tape.
 """
 
 from __future__ import annotations
@@ -266,37 +266,31 @@ class Propagation:
         return out
 
 
-def propagate(a: Tensor, op: Propagation) -> Tensor:
-    """S a for a symmetric per-batch operator S; the backward is S g."""
-    if a.data.ndim != 2 or a.data.shape[0] != op.n:
-        raise ValueError(f"propagate needs ({op.n}, F) rows for its operator, got {a.data.shape}")
-    out = Tensor(_check_finite(op(a.data), "propagate"))
-
-    def backward_fn(g):
-        _accumulate(a, op(g))
-
-    return _record(out, (a,), backward_fn)
-
-
-def gcn_conv(h: Tensor, w: Tensor, op: Propagation) -> Tensor:
-    """ReLU(S h W), propagated on the narrower side: (S h) W when h has fewer columns than W
-    has, else S (h W). The backward masks g by out > 0; the closure keeps h, W, out and S h."""
+def graph_conv(h: Tensor, w: Tensor, op: Propagation, b: Tensor | None = None) -> Tensor:
+    """ReLU(S h W + b), propagated on the narrower side: (S h) W when h has fewer columns than W
+    has, else S (h W). The backward masks g by out > 0; the closure keeps h, W, b, out and S h."""
     hd, wd = h.data, w.data
-    if hd.ndim != 2 or wd.ndim != 2 or hd.shape != (op.n, wd.shape[0]):
-        raise ValueError(f"gcn_conv needs ({op.n}, F) rows and (F, H) weights, got {hd.shape} and {wd.shape}")
+    bias_ok = b is None or b.data.shape == wd.shape[1:]
+    if hd.ndim != 2 or wd.ndim != 2 or hd.shape != (op.n, wd.shape[0]) or not bias_ok:
+        raise ValueError(f"graph_conv needs ({op.n}, F) rows, (F, H) weights and no bias or an (H,) one, "
+                         f"got {hd.shape}, {wd.shape} and {None if b is None else b.data.shape}")
     sh = op(hd) if hd.shape[1] < wd.shape[1] else None
-    out = _check_finite(op(hd @ wd) if sh is None else sh @ wd, "gcn_conv")
-    np.maximum(out, 0.0, out=out)  # the fresh product or scatter output becomes the ReLU's
+    out = op(hd @ wd) if sh is None else sh @ wd
+    if b is not None:
+        out += b.data
+    np.maximum(_check_finite(out, "graph_conv"), 0.0, out=out)  # the fresh product or scatter output becomes the ReLU's
 
     def backward_fn(g):
         g = g * (out > 0.0)
         sg = op(g) if sh is None else None  # S g on the wide side
         if w.requires_grad:
             _accumulate(w, hd.T @ sg if sh is None else sh.T @ g)
+        if b is not None and b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
         if h.requires_grad:
             _accumulate(h, sg @ wd.T if sh is None else op(g @ wd.T))
 
-    return _record(Tensor(out), (h, w), backward_fn)
+    return _record(Tensor(out), (h, w) if b is None else (h, w, b), backward_fn)
 
 
 def row_l2_normalize(a: Tensor) -> Tensor:

@@ -77,6 +77,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'Subgraph:0.2:1.5'.*alpha"):
             parse_pool_spec("NodeDrop:0.3:1.5, Subgraph:0.2:1.5")
 
+    @pytest.mark.parametrize("entry", ["Identity:0.7", "Identity:0.2:0", "Identity:"])
+    def test_pool_spec_identity_strength_rejected(self, entry):
+        with pytest.raises(ConfigError, match=f"{entry!r}: Identity takes no ratio or alpha"):
+            parse_pool_spec(f"NodeDrop:0.3, {entry}")
+
     def test_sweep_lists(self):
         cfg = parse_config_text("[sweep]\nratios = 0.1, 0.3\nalphas = -1, 1\npairs = NodeDrop+Subgraph\n")
         assert cfg.sweep_ratios == [0.1, 0.3]
@@ -350,6 +355,16 @@ class TestCLI:
         assert main(["pretrain", "--config", config_file(tmp_path, str(data)), "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert "dataset SYN" in err and f"SYN_{suffix}.txt" in err
+        assert not out.exists()
+
+    def test_identity_ratio_is_exit_1_before_output(self, tmp_path, corpus_dir, capsys, monkeypatch):
+        monkeypatch.setattr("gcl.cli.load_tudataset", lambda *a: pytest.fail("dataset loaded"))
+        cfg = tmp_path / "cfg.ini"
+        config_file(tmp_path, corpus_dir, name=cfg.name)
+        cfg.write_text(cfg.read_text().replace("[pretrain]\n", "[pretrain]\npool_j = Subgraph, Identity:0.7\n"))
+        out = tmp_path / "out"
+        assert main(["pretrain", "--config", str(cfg), "--output", str(out)]) == 1
+        assert "'Identity:0.7': Identity takes no ratio or alpha" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["finetune", "embed", "probe"])

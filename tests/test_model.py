@@ -64,95 +64,124 @@ class TestPropagate:
         batch = make_batch(graphs)
         for width in (1, 2, 7):  # every width gets its own scatter keys
             x = rng.normal(size=(batch.features.shape[0], width))
-            out = T.propagate(Tensor(x), batch.operator(arch, eps)).data
+            out = batch.operator(arch, eps)(x)
             assert out.dtype == np.float64
             np.testing.assert_allclose(out, dense_operator(graphs, arch, eps) @ x, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("arch, eps", [("gcn", 0.0), ("gin", 0.25)])
-    def test_gradient_passes_finite_differences(self, arch, eps):
-        rng = np.random.default_rng(21)
-        batch = make_batch([random_connected_graph(rng, n_min=4, n_max=7) for _ in range(2)])
-        x = Tensor(rng.normal(size=(batch.features.shape[0], 3)), requires_grad=True)
-        probe = Tensor(rng.normal(size=x.data.shape))
-        op = batch.operator(arch, eps)
-        assert finite_diff_check(lambda ps: T.sum(T.mul(T.propagate(ps[0], op), probe)), [x])["passed"]
 
     def test_operator_built_once_per_batch(self):
         batch = make_batch([random_connected_graph(np.random.default_rng(22))])
         assert batch.operator("gcn") is batch.operator("gcn")
         assert batch.operator("gin", 0.5) is not batch.operator("gin", 0.0)
 
-    def test_wrong_row_count_rejected(self):
-        batch = make_batch([EDGELESS])
-        with pytest.raises(ValueError, match="propagate"):
-            T.propagate(Tensor(np.ones((4, 2))), batch.operator("gcn"))
+
+def frozen_gcn_conv(x, w, op, probe):
+    """The arithmetic of a GCN layer as its own op first computed it, kept as a reference:
+    ReLU(S x W) on the narrower side of W, and the gradients of sum(out * probe) for x and W."""
+    sx = op(x) if x.shape[1] < w.shape[1] else None
+    out = op(x @ w) if sx is None else sx @ w
+    np.maximum(out, 0.0, out=out)
+    g = probe * (out > 0.0)
+    if sx is None:
+        sg = op(g)
+        return out, sg @ w.T, x.T @ sg
+    return out, op(g @ w.T), sx.T @ g
+
+
+CONV_VARIANTS = [("gcn", 0.0, False), ("gcn", 0.0, True), ("gin", 0.37, False), ("gin", 0.37, True)]  # arch, eps, bias
 
 
 class TestGcnConv:
+    """`tensor.graph_conv`, the one op for GCN and GIN layers, on both operators with and without a bias."""
+
     @staticmethod
-    def chain(h, w, op):
-        """The three-op layer that gcn_conv replaces."""
-        return T.relu(T.propagate(T.matmul(h, w), op))
+    def chain(h, w, s, b=None):
+        """The reference: ReLU(S h W + b) as a tape chain over the dense S."""
+        out = T.matmul(T.matmul(Tensor(s), h), w)
+        return T.relu(out if b is None else T.add(out, b))
 
     @pytest.mark.parametrize("width", [2, 5, 7])  # narrower than, as wide as and wider than W's 5 columns
     @pytest.mark.parametrize("case", CASES)
     def test_matches_three_op_chain(self, width, case):
         rng = np.random.default_rng(26)
-        op = make_batch(case_graphs(rng, case)).operator("gcn")
-        x, w0 = rng.normal(size=(op.n, width)), rng.normal(size=(width, 5))
-        probe = Tensor(rng.normal(size=(op.n, 5)))
-        results = []
-        for layer in (T.gcn_conv, self.chain):
-            h, w = Tensor(x.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
-            out = layer(h, w, op)
-            T.backward(T.sum(T.mul(out, probe)))
-            results.append((out.data, h.grad, w.grad))
-        assert (results[0][0] == 0.0).any() and (results[0][0] > 0.0).any()  # the ReLU mask matters
-        for got, want in zip(*results):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-            if width >= 5:  # the wide side does the chain's arithmetic in the chain's order
-                assert np.array_equal(got, want)
+        graphs = case_graphs(rng, case)
+        batch = make_batch(graphs)
+        for arch, eps, bias in CONV_VARIANTS:
+            op, s = batch.operator(arch, eps), dense_operator(graphs, arch, eps)
+            x, w0, b0 = rng.normal(size=(op.n, width)), rng.normal(size=(width, 5)), rng.normal(size=5)
+            probe = Tensor(rng.normal(size=(op.n, 5)))
+            results = []
+            for layer in (lambda h, w, b: T.graph_conv(h, w, op, b), lambda h, w, b: self.chain(h, w, s, b)):
+                h, w = Tensor(x.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+                b = Tensor(b0.copy(), requires_grad=True) if bias else None
+                out = layer(h, w, b)
+                T.backward(T.sum(T.mul(out, probe)))
+                results.append((out.data, h.grad, w.grad) + ((b.grad,) if bias else ()))
+            assert (results[0][0] == 0.0).any() and (results[0][0] > 0.0).any()  # the ReLU mask matters
+            for got, want in zip(*results):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        # A GCN layer keeps its arithmetic bit for bit.
+        h, w = Tensor(x.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        out = gcn_layer(h, batch, w)
+        T.backward(T.sum(T.mul(out, probe)))
+        for got, want in zip((out.data, h.grad, w.grad), frozen_gcn_conv(x, w0, batch.operator("gcn"), probe.data)):
+            assert np.array_equal(got, want)
 
     def test_constant_input_needs_no_gradient(self):
         rng = np.random.default_rng(28)
-        op = make_batch(case_graphs(rng, "connected")).operator("gcn")
-        h, w = Tensor(rng.normal(size=(op.n, 2))), Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-        T.backward(T.sum(T.gcn_conv(h, w, op)))
-        assert h.grad is None and w.grad.shape == (2, 6)
+        batch = make_batch(case_graphs(rng, "connected"))
+        n = batch.features.shape[0]
+        for arch, eps, bias in CONV_VARIANTS:
+            h, w = Tensor(rng.normal(size=(n, 2))), Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+            b = Tensor(rng.normal(size=6), requires_grad=True) if bias else None
+            T.backward(T.sum(T.graph_conv(h, w, batch.operator(arch, eps), b)))
+            assert h.grad is None and w.grad.shape == (2, 6) and (b is None or b.grad.shape == (6,))
 
     def test_no_grad_records_nothing(self):
         rng = np.random.default_rng(29)
-        op = make_batch(case_graphs(rng, "with-isolated-node")).operator("gcn")
-        h, w = Tensor(rng.normal(size=(op.n, 2)), requires_grad=True), Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        with T.no_grad():
-            out = T.gcn_conv(h, w, op)
-        assert T.tape_size() == 0 and not out.requires_grad
-        np.testing.assert_allclose(out.data, self.chain(Tensor(h.data), Tensor(w.data), op).data, rtol=1e-12, atol=1e-12)
+        graphs = case_graphs(rng, "with-isolated-node")
+        batch = make_batch(graphs)
+        for arch, eps, bias in CONV_VARIANTS:
+            h = Tensor(rng.normal(size=(batch.features.shape[0], 2)), requires_grad=True)
+            w = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+            b = Tensor(rng.normal(size=3), requires_grad=True) if bias else None
+            with T.no_grad():
+                out = T.graph_conv(h, w, batch.operator(arch, eps), b)
+                want = self.chain(h, w, dense_operator(graphs, arch, eps), b)
+            assert T.tape_size() == 0 and not out.requires_grad
+            np.testing.assert_allclose(out.data, want.data, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("h_shape, w_shape", [((4, 2), (2, 3)), ((3, 2), (3, 3)), ((3, 2), (2,)), ((3,), (1, 3))])
     def test_wrong_shapes_rejected(self, h_shape, w_shape):
         op = make_batch([EDGELESS]).operator("gcn")
-        with pytest.raises(ValueError, match="gcn_conv"):
-            T.gcn_conv(Tensor(np.ones(h_shape)), Tensor(np.ones(w_shape)), op)
+        with pytest.raises(ValueError, match="graph_conv"):
+            T.graph_conv(Tensor(np.ones(h_shape)), Tensor(np.ones(w_shape)), op)
+
+    @pytest.mark.parametrize("b_shape", [(2,), (1, 3), (3, 1), ()])
+    def test_wrong_bias_shape_rejected(self, b_shape):
+        op = make_batch([EDGELESS]).operator("gin")
+        with pytest.raises(ValueError, match="graph_conv"):
+            T.graph_conv(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 3))), op, Tensor(np.ones(b_shape)))
 
     def test_encode_keeps_only_layer_outputs_until_backward(self):
-        # 3 layers x 32 columns on ~4,000 nodes: each layer output is about 1 MB, and that is all a
-        # layer keeps; one that also kept its matmul and propagate outputs would hold about 3 MB.
+        # 3 layers x 32 columns on ~4,000 nodes: each n x 32 table is about 1 MB. A GCN layer keeps only
+        # its output, a GIN layer its graph_conv, matmul and add outputs; one that also kept its
+        # intermediates (the aggregate, the pre-ReLU sum) would hold about twice as much.
         rng = np.random.default_rng(30)
         batch = make_batch([random_connected_graph(rng, n_min=380, n_max=420, extra_frac=1.0) for _ in range(10)])
-        params = init_params(EncoderConfig(arch="gcn", num_layers=3, hidden_dim=32), 2, 0, rng)
-        with T.no_grad():  # builds the operator and its scatter keys for every width
-            encode(batch, params)
-        layer_output = batch.features.shape[0] * 32 * 8
-        tracemalloc.start()
-        try:
-            pooled = encode(batch, params)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        T.backward(T.sum(pooled))
         assert 3800 <= batch.features.shape[0] <= 4200
-        assert held < 1.5 * 3 * layer_output, f"{held / 2**20:.1f} MB held before backward"
+        table = batch.features.shape[0] * 32 * 8
+        for arch, bound in (("gcn", 1.5 * 3), ("gin", 10.5)):
+            params = init_params(EncoderConfig(arch=arch, num_layers=3, hidden_dim=32), 2, 0, rng)
+            with T.no_grad():  # builds the operator and its scatter keys for every width
+                encode(batch, params)
+            tracemalloc.start()
+            try:
+                pooled = encode(batch, params)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            T.backward(T.sum(pooled))
+            assert held < bound * table, f"{arch}: {held / table:.2f} n x 32 tables held before backward"
 
 
 class TestTapeOps:
@@ -160,18 +189,18 @@ class TestTapeOps:
         rng = np.random.default_rng(23)
         batch = make_batch([random_connected_graph(rng, n_min=5, n_max=8)])
         out = gcn_layer(Tensor(batch.features), batch, Tensor(rng.normal(size=(2, 4)), requires_grad=True))
-        assert T.tape_size() == 1  # gcn_conv
+        assert T.tape_size() == 1  # graph_conv
         T.backward(T.sum(out))
 
-    def test_one_gin_layer_records_six_ops(self):
+    def test_one_gin_layer_records_three_ops(self):
         rng = np.random.default_rng(24)
         batch = make_batch([random_connected_graph(rng, n_min=5, n_max=8)])
         mlp = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((2, 4), 4, (4, 4), 4)]
         out = gin_layer(Tensor(batch.features, requires_grad=True), batch, *mlp, eps=0.1)
-        assert T.tape_size() == 6  # propagate, matmul, add, relu, matmul, add
+        assert T.tape_size() == 3  # graph_conv, matmul, add
         T.backward(T.sum(out))
 
-    @pytest.mark.parametrize("arch, ops", [("gcn", 22), ("gin", 50)])
+    @pytest.mark.parametrize("arch, ops", [("gcn", 22), ("gin", 34)])
     def test_three_layer_pretrain_step(self, arch, ops):
         rng = np.random.default_rng(25)
         params = init_params(EncoderConfig(arch=arch, num_layers=3, hidden_dim=8), 2, 0, rng)

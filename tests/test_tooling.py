@@ -57,14 +57,16 @@ def test_tracer_counts_edge_perturb_and_subgraph_calls():
 
 def test_tracer_counts_tape_ops_of_pretrain_steps():
     # perfbench's tensor.tape_ops_per_step is tape_ops / pretrain_steps, both
-    # counted where contrastive.pretrain calls backward.
+    # counted where contrastive.pretrain calls backward: a 3-layer step records
+    # 22 tape ops with GCN and 34 with GIN.
     spans = load_spans()
     ds = gcl.make_corpus(8, families=("cycle", "star"), size_range=(5, 8), seed=0)
-    tracer = spans.Tracer()
-    try:
-        tracer.install(gcl)
-        gcl.contrastive.pretrain(ds, gcl.PretrainConfig(batch_size=4, epochs=1))
-    finally:
-        tracer.uninstall()
-    assert tracer.counts["pretrain_steps"] == 2
-    assert tracer.counts["tape_ops"] > 0
+    for arch, ops_per_step in (("gcn", 22), ("gin", 34)):
+        tracer = spans.Tracer()
+        try:
+            tracer.install(gcl)
+            gcl.contrastive.pretrain(ds, gcl.PretrainConfig(batch_size=4, epochs=1), gcl.EncoderConfig(arch=arch))
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["pretrain_steps"] == 2
+        assert tracer.counts["tape_ops"] == ops_per_step * tracer.counts["pretrain_steps"], arch
