@@ -7,7 +7,7 @@ perturbed or removed": node dropping removes round(ratio*n) nodes, edge
 perturbation rewires round(ratio*|E|) edges, attribute masking zeroes
 round(ratio*n) feature rows, and subgraph sampling by frontier expansion
 retains round((1-ratio)*n) nodes (the seed's whole component when that is
-smaller).
+smaller). Every pick of k distinct nodes or edges goes through `_pick`.
 """
 
 from __future__ import annotations
@@ -74,17 +74,23 @@ class AugmentationPool:
 
 
 def degree_biased_probs(g: Graph, alpha: float) -> np.ndarray:
-    """Node-selection probabilities proportional to (deg + 1)^alpha.
+    """Node-selection probabilities proportional to (deg + 1)^alpha, the law by which `_pick` draws each node.
 
     The +1 smoothing keeps isolated nodes sampleable and 0^alpha finite for
-    negative alpha; alpha = 0 reduces exactly to the uniform distribution.
+    negative alpha; exp(a - max a), a = alpha*log(deg + 1), stays finite where (deg + 1)^alpha overflows.
     """
     if g.num_nodes == 0:
         raise AugmentationError("cannot build selection probabilities for an empty graph")
-    if alpha == 0.0:
-        return np.full(g.num_nodes, 1.0 / g.num_nodes)
-    weights = (degrees(g).astype(np.float64) + 1.0) ** alpha
+    a = alpha * np.log1p(degrees(g))
+    weights = np.exp(a - a.max())
     return weights / weights.sum()
+
+
+def _pick(k: int, log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """k distinct indices drawn one at a time, each with probability proportional to exp(log_weights) among those
+    left: the k smallest Efraimidis-Spirakis keys (IPL 2006) log(-log u) - log_weights, one uniform u per item."""
+    keys = np.log(-np.log(rng.random(len(log_weights)))) - log_weights
+    return np.argpartition(keys, k - 1)[:k]
 
 
 def node_drop(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) -> Graph:
@@ -94,9 +100,7 @@ def node_drop(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) ->
     d = min(_round_half_up(ratio * g.num_nodes), g.num_nodes - 1)
     if d == 0:
         return induced_subgraph(g, np.arange(g.num_nodes))
-    probs = degree_biased_probs(g, alpha)
-    dropped = rng.choice(g.num_nodes, size=d, replace=False, p=probs)
-    keep = np.setdiff1d(np.arange(g.num_nodes), dropped)
+    keep = np.setdiff1d(np.arange(g.num_nodes), _pick(d, alpha * np.log1p(degrees(g)), rng))
     return induced_subgraph(g, keep)
 
 
@@ -134,7 +138,7 @@ def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     k = _round_half_up(ratio * g.num_edges)
     if k == 0:
         return g
-    kept = np.delete(g.edges, rng.choice(g.num_edges, size=k, replace=False), axis=0)
+    kept = np.delete(g.edges, _pick(k, np.zeros(g.num_edges), rng), axis=0)
     # Removed pairs stay ineligible: the non-edge set is taken relative to
     # the original edge set.
     edges = np.concatenate([kept, _sample_non_edges(g.num_nodes, g.edges, k, rng)])
@@ -148,10 +152,8 @@ def attr_mask(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) ->
     m = min(_round_half_up(ratio * g.num_nodes), g.num_nodes)
     if m == 0:
         return g
-    probs = degree_biased_probs(g, alpha)
-    masked = rng.choice(g.num_nodes, size=m, replace=False, p=probs)
     feats = g.node_features.copy()
-    feats[masked] = 0.0
+    feats[_pick(m, alpha * np.log1p(degrees(g)), rng)] = 0.0
     return Graph(g.num_nodes, g.edges, feats, g.label)
 
 
@@ -210,13 +212,10 @@ def sample_view_pair(
     g: Graph,
     rng: np.random.Generator,
 ) -> tuple[Graph, Graph]:
-    """Draw one spec uniformly from each pool and apply both independently to g."""
+    """Draw one spec uniformly from each pool, then apply view i's and view j's to g in turn, all from `rng`."""
     spec_i = pool_i.specs[int(rng.integers(len(pool_i)))]
     spec_j = pool_j.specs[int(rng.integers(len(pool_j)))]
-    seed_i, seed_j = (int(s) for s in rng.integers(0, 2**63, size=2))
-    view_i = apply_augmentation(spec_i, g, np.random.default_rng(seed_i))
-    view_j = apply_augmentation(spec_j, g, np.random.default_rng(seed_j))
-    return view_i, view_j
+    return apply_augmentation(spec_i, g, rng), apply_augmentation(spec_j, g, rng)
 
 
 def default_pool(category: str, ratio: float = DEFAULT_RATIO) -> AugmentationPool:

@@ -36,6 +36,7 @@ from .model import init_params, load_checkpoint, save_checkpoint
 from .pipelines import (
     ExperimentBase,
     aug_grid,
+    check_split,
     embed_dataset,
     finetune,
     linear_probe,
@@ -178,8 +179,6 @@ def _cmd_pretrain(cfg, dataset, outdir, runlog, checkpoint):
 
 
 def _cmd_finetune(cfg, dataset, outdir, runlog, checkpoint):
-    if not checkpoint:
-        raise ConfigError("finetune needs --checkpoint (use the scratch command for no pretraining)")
     params = _load_checkpoint_for(dataset, checkpoint)
     report = finetune(params, dataset, cfg.split(), cfg.finetune_epochs, cfg.finetune_lr, cfg.finetune_batch)
     _write_report(outdir, report)
@@ -210,8 +209,6 @@ def _cmd_embed(cfg, dataset, outdir, runlog, checkpoint):
 
 
 def _cmd_probe(cfg, dataset, outdir, runlog, checkpoint):
-    if dataset.num_classes < 2:
-        raise ConfigError("probe needs a labeled dataset")
     params = _params_from_checkpoint_or_random(cfg, dataset, checkpoint)
     emb = embed_dataset(params, dataset)
     report = linear_probe(emb, dataset.labels, folds=cfg.folds, seed=cfg.seed)
@@ -331,6 +328,7 @@ _DATA_COMMANDS = {
 }
 COMMANDS = (*_DATA_COMMANDS, "grad-check")
 CHECKPOINT_COMMANDS = ("finetune", "embed", "probe")
+LABELED_COMMANDS = ("finetune", "scratch", "probe", "aug-grid", "strength-sweep", "pattern-sweep")
 
 
 def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int:
@@ -339,10 +337,17 @@ def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int
         raise ConfigError(f"unknown command {command!r}")
     if checkpoint is not None and command not in CHECKPOINT_COMMANDS:
         raise ConfigError(f"{command} does not read --checkpoint (only {', '.join(CHECKPOINT_COMMANDS)} do)")
+    if command == "finetune" and not checkpoint:
+        raise ConfigError("finetune needs --checkpoint (use the scratch command for no pretraining)")
     if cfg.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError(f"workers = {cfg.workers} needs forked worker processes, which this platform lacks")
     start = time.perf_counter()
     dataset = None if command == "grad-check" else _load_dataset(cfg)
+    if command in LABELED_COMMANDS:
+        try:  # the probe always deals stratified folds
+            check_split(dataset.labels, cfg.folds, cfg.stratified or command == "probe")
+        except ValueError as err:
+            raise ConfigError(f"{command} on {dataset.name}: {err}") from err
     outdir = cfg.output or os.path.join("runs", command)
     os.makedirs(outdir, exist_ok=True)
     with atomic_open(os.path.join(outdir, "config.effective.ini")) as fh:

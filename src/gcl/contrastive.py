@@ -5,6 +5,10 @@ runs over the other N-1 j-view embeddings and excludes the positive pair, so
 the loss can go negative. The widespread inclusive form (positive term added
 to the denominator) is available as loss_variant="inclusive", and symmetrized
 anchoring (average of i->j and j->i) behind the `symmetric` flag.
+
+`pretrain` draws a graph's two views from one Generator per graph and epoch,
+keyed by (seed, epoch, graph index), so they do not depend on batch size,
+batch order or how many cells run at once.
 """
 
 from __future__ import annotations

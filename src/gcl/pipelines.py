@@ -90,6 +90,18 @@ def stratified_folds(labels, folds: int, seed: int, stratified: bool = True) -> 
     return [np.array(sorted(b), dtype=np.int64) for b in buckets]
 
 
+def check_split(labels, folds: int, stratified: bool = True) -> None:
+    """Raise ValueError unless every graph has one of >= 2 labels and dealing them into `folds` test folds leaves
+    none empty: a stratified deal fills fold f only if some class has more than f members, a plain one if n > f."""
+    classes, counts = np.unique(labels, return_counts=True)
+    if classes.size < 2 or classes[0] < 0:
+        raise ValueError("needs graph labels of >= 2 classes on every graph")
+    largest = counts.max() if stratified else len(labels)
+    if folds > largest:
+        what = "the largest class has" if stratified else "there are"
+        raise ValueError(f"folds = {folds} would leave a test fold empty: {what} {largest} graphs")
+
+
 def _labeled_subset(labels, train_idx, label_rate, stratified, rng) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if not stratified:
@@ -147,10 +159,9 @@ def finetune(
     """Pretrain-&-finetune evaluation: per fold, a fresh classifier head on top
     of a copy of `params`, the whole network trained on the label_rate-sized
     labeled subset of the training fold, accuracy on the held-out fold."""
-    if dataset.num_classes < 2:
-        raise ValueError("finetuning needs a labeled dataset with >= 2 classes")
     start = time.perf_counter()
     labels = dataset.labels
+    check_split(labels, split.folds, split.stratified)
     folds = stratified_folds(labels, split.folds, split.seed, split.stratified)
     all_idx = np.arange(len(dataset))
     accs = []
@@ -264,6 +275,7 @@ def linear_probe(
     if grid.ndim != 1 or not grid.size or not (np.isfinite(grid) & (grid >= 0.0)).all():
         raise ValueError(f"l2_grid needs one or more finite strengths >= 0, got {l2_grid!r}")
     grid = np.sort(grid)
+    check_split(y, folds)
     num_classes = int(y.max()) + 1
     test_folds = stratified_folds(y, folds, seed)
     all_idx = np.arange(y.size)

@@ -356,12 +356,12 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            if not np.isfinite(g).all():
-                raise FloatingPointError("non-finite gradient in Adam step")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
+            if not np.isfinite(v).all():  # a non-finite g, or a finite one whose square overflows; m stays finite
+                raise FloatingPointError("non-finite gradient or Adam moment in Adam step")
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 

@@ -18,8 +18,9 @@ from gcl.augment import (
     node_drop,
     sample_view_pair,
     subgraph_rw,
+    _pick,
 )
-from gcl.graphs import Graph, validate
+from gcl.graphs import Graph, degrees, validate
 from gcl.synth import make_corpus
 
 from conftest import is_connected, make_graph, random_connected_graph
@@ -45,6 +46,59 @@ class TestDegreeBiasedProbs:
         g = random_connected_graph(rng(5))
         for alpha in (-2.0, -0.5, 0.0, 0.7, 2.0):
             assert degree_biased_probs(g, alpha).sum() == pytest.approx(1.0)
+
+
+def log_weights(g, alpha):
+    return alpha * np.log1p(degrees(g))
+
+
+def wheel(rim):
+    """Hub 0 joined to every node of the cycle 1..rim: the minimum degree is 3."""
+    return make_graph(rim + 1, [(0, i) for i in range(1, rim + 1)] + [(i, i % rim + 1) for i in range(1, rim + 1)])
+
+
+class TestPick:
+    @pytest.mark.parametrize("alpha", [-2.0, 0.0, 2.0])
+    def test_first_pick_follows_degree_biased_probs(self, alpha):
+        from scipy import stats
+
+        g = random_connected_graph(rng(41), n_min=10, n_max=10)
+        assert len(set(degrees(g).tolist())) >= 3
+        r = rng(42)
+        draws = 20_000
+        counts = np.bincount([_pick(1, log_weights(g, alpha), r)[0] for _ in range(draws)], minlength=10)
+        expected = degree_biased_probs(g, alpha) * draws
+        assert expected.min() >= 5
+        assert stats.chisquare(counts, expected).pvalue > 0.001
+
+    def test_two_subsets_of_path3_follow_the_one_at_a_time_law(self, path3):
+        from scipy import stats
+
+        # Weights (2, 3, 2): P{0,1} = 2/7 * 3/5 + 3/7 * 2/4 = 27/70, P{0,2} = 2 * (2/7 * 2/5) = 16/70.
+        r = rng(43)
+        draws = 4000
+        picks = [tuple(sorted(_pick(2, log_weights(path3, 1.0), r).tolist())) for _ in range(draws)]
+        for pair, p in (((0, 1), 27 / 70), ((0, 2), 16 / 70), ((1, 2), 27 / 70)):
+            lo, hi = stats.binom.interval(0.999, draws, p)
+            assert lo <= picks.count(pair) <= hi
+
+    @pytest.mark.parametrize("alpha", [900.0, -900.0])
+    @pytest.mark.parametrize("g", [make_graph(8, [(0, i) for i in range(1, 8)]), wheel(7)], ids=["star", "wheel"])
+    def test_extreme_alpha_is_finite_and_sized(self, g, alpha):
+        # (deg + 1)^alpha overflows on both graphs at +900 and underflows to 0 on every wheel node at -900.
+        probs = degree_biased_probs(g, alpha)
+        assert np.isfinite(probs).all() and probs.sum() == pytest.approx(1.0)
+        hub_first = alpha > 0  # the hub has the largest degree
+        assert probs[0] == pytest.approx(1.0 if hub_first else 0.0)
+        r = rng(44)
+        for _ in range(20):
+            dropped = node_drop(g, 0.25, alpha, r)
+            assert dropped.num_nodes == 6
+            hub_kept = (dropped.node_features == g.node_features[0]).all(axis=1).any()
+            assert hub_kept != hub_first
+            masked = attr_mask(g, 0.25, alpha, r).node_features
+            assert (np.abs(masked).sum(axis=1) == 0).sum() == 2
+            assert masked[0].any() != hub_first
 
 
 class TestNodeDrop:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gcl
-from gcl.cli import CHECKPOINT_COMMANDS, COMMANDS, _write_json, dispatch, main
+from gcl.cli import CHECKPOINT_COMMANDS, COMMANDS, LABELED_COMMANDS, _write_json, dispatch, main
 from gcl.config import ConfigError, RunConfig, default_config, parse_config_text, parse_pool_spec
 
 
@@ -17,6 +17,17 @@ def corpus_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("data")
     ds = gcl.make_corpus(24, families=("cycle", "star"), size_range=(6, 10), seed=21)
     gcl.save_tudataset(ds, str(path), name="SYN")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def twelve_dir(tmp_path_factory):
+    """12 graphs, 6 per class, saved twice: SYN with graph labels and NOLAB without them."""
+    path = tmp_path_factory.mktemp("twelve")
+    ds = gcl.make_corpus(12, families=("cycle", "star"), size_range=(6, 10), seed=21)
+    for name in ("SYN", "NOLAB"):
+        gcl.save_tudataset(ds, str(path), name=name)
+    os.remove(path / "NOLAB_graph_labels.txt")
     return str(path)
 
 
@@ -444,3 +455,40 @@ class TestCLI:
         assert events[0]["event"] == "start"
         assert events[-1]["event"] == "done"
         assert all("timestamp" in e for e in events)
+
+    @pytest.mark.parametrize("command", LABELED_COMMANDS)
+    @pytest.mark.parametrize("name, split, message", [
+        ("SYN", "folds = 7", "folds = 7 would leave a test fold empty: the largest class has 6 graphs"),
+        ("SYN", "folds = 40", "folds = 40 would leave a test fold empty: the largest class has 6 graphs"),
+        ("NOLAB", "folds = 2", "on NOLAB: needs graph labels of >= 2 classes"),
+    ])
+    def test_split_preconditions_are_exit_1_before_output(self, tmp_path, twelve_dir, capsys, command, name,
+                                                           split, message):
+        cfg = tmp_path / "cfg.ini"
+        config_file(tmp_path, twelve_dir, name=cfg.name)
+        cfg.write_text(cfg.read_text().replace("name = SYN", f"name = {name}").replace("folds = 2", split))
+        out = tmp_path / "out"
+        checkpoint = ["--checkpoint", str(tmp_path / "unread.json")] if command == "finetune" else []
+        assert main([command, "--config", str(cfg), "--output", str(out), *checkpoint]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_adam_moment_is_exit_2(self, tmp_path, corpus_dir, capsys):
+        # At temperature 1e-300 the loss reads about -1e299 and squared gradients overflow.
+        cfg = tmp_path / "cfg.ini"
+        config_file(tmp_path, corpus_dir, name=cfg.name)
+        cfg.write_text(cfg.read_text().replace("[pretrain]\n", "[pretrain]\ntemperature = 1e-300\n"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["pretrain", "--config", str(cfg), "--output", str(tmp_path / "tiny")]) == 2
+        assert "FloatingPointError: non-finite gradient or Adam moment" in capsys.readouterr().err
+
+    def test_extreme_degree_bias_pretrains(self, tmp_path, corpus_dir):
+        cfg = tmp_path / "cfg.ini"
+        config_file(tmp_path, corpus_dir, name=cfg.name)
+        pools = "pool_i = NodeDrop:0.2:900\npool_j = AttrMask:0.2:-900\n"
+        cfg.write_text(cfg.read_text().replace("[pretrain]\n", "[pretrain]\n" + pools))
+        assert main(["pretrain", "--config", str(cfg), "--output", str(tmp_path / "out")]) == 0
+
+    def test_extreme_degree_bias_pattern_sweep(self, tmp_path, corpus_dir):
+        cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\nkind = NodeDrop\nalphas = 800,-800\n")
+        assert main(["pattern-sweep", "--config", cfg, "--output", str(tmp_path / "out")]) == 0

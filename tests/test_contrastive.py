@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from gcl import contrastive
 from gcl.augment import AugmentationPool, AugmentationSpec, default_pool
 from gcl.contrastive import LossCurve, PretrainConfig, contrastive_loss, cosine_sim, nt_xent, pretrain
 from gcl.graphs import Graph, GraphDataset
@@ -134,6 +135,29 @@ class TestPretrain:
         _, c1 = pretrain(ds, cfg, EncoderConfig(hidden_dim=8))
         _, c2 = pretrain(ds, cfg, EncoderConfig(hidden_dim=8))
         assert c1.losses == c2.losses
+
+    def test_views_depend_only_on_seed_epoch_and_graph(self, monkeypatch):
+        ds = self._dataset()
+        index = {id(g): i for i, g in enumerate(ds.graphs)}
+        real = contrastive.sample_view_pair
+
+        def views_by_graph(batch_size):
+            seen = {}  # graph index -> one view pair per epoch, in epoch order
+
+            def record(pool_i, pool_j, g, rng):
+                pair = real(pool_i, pool_j, g, rng)
+                seen.setdefault(index[id(g)], []).append([(v.edges.tobytes(), v.node_features.tobytes()) for v in pair])
+                return pair
+
+            monkeypatch.setattr(contrastive, "sample_view_pair", record)
+            pool = default_pool("synthetic")
+            pretrain(ds, PretrainConfig(batch_size=batch_size, epochs=2, pool_i=pool, pool_j=pool, seed=7),
+                     EncoderConfig(hidden_dim=4))
+            return seen
+
+        by_four, by_eight = views_by_graph(4), views_by_graph(8)
+        assert sorted(by_four) == list(range(len(ds))) and all(len(v) == 2 for v in by_four.values())
+        assert by_four == by_eight
 
     def test_loss_descends_on_synthetic_corpus(self):
         ds = make_corpus(30, families=("cycle", "star", "clique"), seed=3)

@@ -60,6 +60,26 @@ class TestFolds:
         with pytest.raises(ValueError):
             SplitSpec(folds=1)
 
+    def test_folds_that_would_be_empty_rejected(self):
+        # A stratified deal puts each class's f-th member into fold f, so 7 folds of 6 + 6 graphs leave fold 6 empty.
+        ds = make_corpus(12, families=("cycle", "star"), seed=6)
+        params = init_params(EncoderConfig(hidden_dim=4), ds.feature_dim, 2, np.random.default_rng(0))
+        emb = np.random.default_rng(1).normal(size=(12, 3))
+        with pytest.raises(ValueError, match="folds = 7 .*the largest class has 6 graphs"):
+            finetune(params, ds, SplitSpec(label_rate=0.5, folds=7), epochs=1)
+        with pytest.raises(ValueError, match="folds = 7 .*the largest class has 6 graphs"):
+            linear_probe(emb, ds.labels, folds=7)
+        with pytest.raises(ValueError, match="folds = 13 .*there are 12 graphs"):
+            finetune(params, ds, SplitSpec(label_rate=0.5, folds=13, stratified=False), epochs=1)
+        plain = finetune(params, ds, SplitSpec(label_rate=0.5, folds=7, stratified=False), epochs=1)
+        assert len(plain.fold_accuracies) == 7
+
+    def test_probe_inner_split_reads_only_its_first_fold(self):
+        # Each 2-fold training split holds 3 graphs per class, fewer than the 5 inner folds: only inner fold 0 is read.
+        labels = make_corpus(12, families=("cycle", "star"), seed=6).labels
+        report = linear_probe(np.random.default_rng(1).normal(size=(12, 3)), labels, folds=2)
+        assert len(report.fold_accuracies) == 2
+
 
 class TestFinetune:
     def test_separable_corpus_full_labels(self):

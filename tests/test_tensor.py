@@ -359,6 +359,15 @@ class TestAdam:
         with pytest.raises(FloatingPointError):
             opt.step()
 
+    def test_overflowing_moment_rejected(self):
+        # 1e200 is finite but its square is not: v would turn inf and the update 0, so nothing would train.
+        p = t([1.0, 2.0])
+        opt = Adam([p])
+        p.grad = np.array([1e200, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="moment"):
+            opt.step()
+        assert p.data.tolist() == [1.0, 2.0]
+
 
 def _wrong_square_check(rng, h=1e-5, tol=1e-4):
     """sum(p^2) with a backward of 3p instead of 2p."""
