@@ -7,22 +7,26 @@ perturbed or removed": node dropping removes round(ratio*n) nodes, edge
 perturbation rewires round(ratio*|E|) edges, attribute masking zeroes
 round(ratio*n) feature rows, and subgraph sampling by frontier expansion
 retains round((1-ratio)*n) nodes (the seed's whole component when that is
-smaller). Every pick of k distinct nodes or edges goes through `_pick`.
+smaller). Every pick of k distinct nodes or edges goes through `_pick`. Each
+kind is one draw, a `ViewDraw` of what the view changes, which its public
+function builds into a Graph and pretraining cuts out of a packed minibatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import Graph, degrees, induced_subgraph
+from .graphs import Graph, _canonical_edges, degrees, induced_subgraph
 
 KINDS = ("Identity", "NodeDrop", "EdgePerturb", "AttrMask", "Subgraph")
 BIASED_KINDS = ("NodeDrop", "AttrMask")  # the kinds that select nodes, so the only ones alpha applies to
 
 DEFAULT_RATIO = 0.2
+MAX_ALPHA = 1e306  # alpha * log(deg + 1) stays finite for every degree below e^179
 
 
 class AugmentationError(ValueError):
@@ -51,8 +55,8 @@ class AugmentationSpec:
             raise ValueError(f"unknown augmentation kind {self.kind!r}, expected one of {KINDS}")
         if not 0.0 <= self.ratio < 1.0:
             raise ValueError(f"ratio must lie in [0, 1), got {self.ratio}")
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
+        if not abs(self.alpha) <= MAX_ALPHA:
+            raise ValueError(f"alpha must lie in [-{MAX_ALPHA:g}, {MAX_ALPHA:g}], got {self.alpha}")
         if self.alpha != 0.0 and self.kind not in BIASED_KINDS:
             raise ValueError(f"alpha must be 0 for {self.kind}, got {self.alpha}: "
                              "only NodeDrop and AttrMask take a degree bias")
@@ -93,15 +97,26 @@ def _pick(k: int, log_weights: np.ndarray, rng: np.random.Generator) -> np.ndarr
     return np.argpartition(keys, k - 1)[:k]
 
 
-def node_drop(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) -> Graph:
-    """Remove round(ratio*n) nodes (at most n-1) along with their incident edges."""
+class ViewDraw(NamedTuple):
+    """What one drawn view changes in its graph; a draw with every field None is the graph itself."""
+    keep: np.ndarray | None = None  # boolean mask of the nodes kept (NodeDrop, Subgraph)
+    zeroed: np.ndarray | None = None  # nodes whose feature rows are zeroed (AttrMask)
+    edges: np.ndarray | None = None  # the view's whole edge list, canonical (EdgePerturb)
+
+
+def _draw_node_drop(g: Graph, spec: AugmentationSpec, rng: np.random.Generator) -> ViewDraw:
     if g.num_nodes < 2:
         raise AugmentationError("node dropping needs at least 2 nodes")
-    d = min(_round_half_up(ratio * g.num_nodes), g.num_nodes - 1)
-    if d == 0:
-        return induced_subgraph(g, np.arange(g.num_nodes))
-    keep = np.setdiff1d(np.arange(g.num_nodes), _pick(d, alpha * np.log1p(degrees(g)), rng))
-    return induced_subgraph(g, keep)
+    d = min(_round_half_up(spec.ratio * g.num_nodes), g.num_nodes - 1)
+    keep = np.ones(g.num_nodes, dtype=bool)
+    if d:
+        keep[_pick(d, spec.alpha * np.log1p(degrees(g)), rng)] = False
+    return ViewDraw(keep=keep)
+
+
+def node_drop(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) -> Graph:
+    """Remove round(ratio*n) nodes (at most n-1) along with their incident edges."""
+    return induced_subgraph(g, _draw_node_drop(g, AugmentationSpec("NodeDrop", ratio, alpha), rng).keep)
 
 
 def _sample_non_edges(n: int, edges: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,50 +142,47 @@ def _sample_non_edges(n: int, edges: np.ndarray, k: int, rng: np.random.Generato
     return np.stack([picked // n, picked % n], axis=1)
 
 
+def _draw_edge_perturb(g: Graph, spec: AugmentationSpec, rng: np.random.Generator) -> ViewDraw:
+    if g.num_edges == 0:
+        raise AugmentationError("edge perturbation needs at least one edge")
+    k = _round_half_up(spec.ratio * g.num_edges)
+    if k == 0:
+        return ViewDraw(edges=g.edges)
+    kept = np.delete(g.edges, _pick(k, np.zeros(g.num_edges), rng), axis=0)
+    # Removed pairs stay ineligible: the non-edge set is taken relative to
+    # the original edge set.
+    return ViewDraw(edges=_canonical_edges(np.concatenate([kept, _sample_non_edges(g.num_nodes, g.edges, k, rng)])))
+
+
 def edge_perturb(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
     """Remove round(ratio*|E|) edges and add the same number of fresh non-edges.
 
     Additions exclude self-loops, duplicates, and the just-removed pairs; if
     fewer non-edges exist than removals, only the available ones are added.
     """
-    if g.num_edges == 0:
-        raise AugmentationError("edge perturbation needs at least one edge")
-    k = _round_half_up(ratio * g.num_edges)
-    if k == 0:
-        return g
-    kept = np.delete(g.edges, _pick(k, np.zeros(g.num_edges), rng), axis=0)
-    # Removed pairs stay ineligible: the non-edge set is taken relative to
-    # the original edge set.
-    edges = np.concatenate([kept, _sample_non_edges(g.num_nodes, g.edges, k, rng)])
+    edges = _draw_edge_perturb(g, AugmentationSpec("EdgePerturb", ratio), rng).edges
     return Graph(g.num_nodes, edges, g.node_features, g.label)
+
+
+def _draw_attr_mask(g: Graph, spec: AugmentationSpec, rng: np.random.Generator) -> ViewDraw:
+    if g.num_nodes == 0:
+        raise AugmentationError("attribute masking needs at least one node")
+    m = min(_round_half_up(spec.ratio * g.num_nodes), g.num_nodes)
+    return ViewDraw(zeroed=_pick(m, spec.alpha * np.log1p(degrees(g)), rng) if m else np.zeros(0, dtype=np.int64))
 
 
 def attr_mask(g: Graph, ratio: float, alpha: float, rng: np.random.Generator) -> Graph:
     """Zero out the feature rows of round(ratio*n) sampled nodes; structure unchanged."""
-    if g.num_nodes == 0:
-        raise AugmentationError("attribute masking needs at least one node")
-    m = min(_round_half_up(ratio * g.num_nodes), g.num_nodes)
-    if m == 0:
-        return g
     feats = g.node_features.copy()
-    feats[_pick(m, alpha * np.log1p(degrees(g)), rng)] = 0.0
+    feats[_draw_attr_mask(g, AugmentationSpec("AttrMask", ratio, alpha), rng).zeroed] = 0.0
     return Graph(g.num_nodes, g.edges, feats, g.label)
 
 
-def subgraph_rw(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
-    """Induced subgraph on max(1, round((1-ratio)*n)) nodes grown by frontier expansion.
-
-    The kept set starts at a uniform seed node; each step moves a uniform node
-    of the frontier (the not-yet-kept neighbours of the kept set) into it. A
-    connected graph therefore yields exactly the target size; the view never
-    leaves the seed's component, and is that whole component when it is
-    smaller than the target. (The name dates from a random-walk sampler and
-    stays because callers and the benchmark's span look it up by name.)
-    """
+def _draw_subgraph(g: Graph, spec: AugmentationSpec, rng: np.random.Generator) -> ViewDraw:
     n = g.num_nodes
     if n < 2:
         raise AugmentationError("subgraph sampling needs at least 2 nodes")
-    target = max(1, _round_half_up((1.0 - ratio) * n))
+    target = max(1, _round_half_up((1.0 - spec.ratio) * n))
     # CSR adjacency: the neighbors of u, ascending, are nbr[start[u]:start[u] + deg[u]].
     deg = degrees(g).tolist()
     start = np.cumsum([0] + deg[:-1]).tolist()
@@ -190,7 +202,29 @@ def subgraph_rw(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
             if not seen[v]:
                 seen[v] = True
                 frontier.append(v)
-    return induced_subgraph(g, kept)
+    return ViewDraw(keep=np.bincount(kept, minlength=n) > 0)
+
+
+def subgraph_rw(g: Graph, ratio: float, rng: np.random.Generator) -> Graph:
+    """Induced subgraph on max(1, round((1-ratio)*n)) nodes grown by frontier expansion.
+
+    The kept set starts at a uniform seed node; each step moves a uniform node
+    of the frontier (the not-yet-kept neighbours of the kept set) into it. A
+    connected graph therefore yields exactly the target size; the view never
+    leaves the seed's component, and is that whole component when it is
+    smaller than the target. (The name dates from a random-walk sampler and
+    stays because callers and the benchmark's span look it up by name.)
+    """
+    return induced_subgraph(g, _draw_subgraph(g, AugmentationSpec("Subgraph", ratio), rng).keep)
+
+
+_DRAWS = {"Identity": lambda g, spec, rng: ViewDraw(), "NodeDrop": _draw_node_drop,
+          "EdgePerturb": _draw_edge_perturb, "AttrMask": _draw_attr_mask, "Subgraph": _draw_subgraph}
+
+
+def draw_view(spec: AugmentationSpec, g: Graph, rng: np.random.Generator) -> ViewDraw:
+    """Draw one view of g under `spec` from `rng`, without building it."""
+    return _DRAWS[spec.kind](g, spec, rng)
 
 
 def apply_augmentation(spec: AugmentationSpec, g: Graph, rng: np.random.Generator) -> Graph:
@@ -211,11 +245,13 @@ def sample_view_pair(
     pool_j: AugmentationPool,
     g: Graph,
     rng: np.random.Generator,
-) -> tuple[Graph, Graph]:
-    """Draw one spec uniformly from each pool, then apply view i's and view j's to g in turn, all from `rng`."""
+    view=apply_augmentation,
+) -> tuple:
+    """Draw one spec uniformly from each pool, then make view i's and view j's of g by `view`, in turn, all from
+    `rng`: `apply_augmentation` (the default) builds Graphs, `draw_view` returns only their ViewDraws."""
     spec_i = pool_i.specs[int(rng.integers(len(pool_i)))]
     spec_j = pool_j.specs[int(rng.integers(len(pool_j)))]
-    return apply_augmentation(spec_i, g, rng), apply_augmentation(spec_j, g, rng)
+    return view(spec_i, g, rng), view(spec_j, g, rng)
 
 
 def default_pool(category: str, ratio: float = DEFAULT_RATIO) -> AugmentationPool:

@@ -272,8 +272,6 @@ def _cmd_sweep(protocol, cfg, dataset, outdir, runlog, checkpoint):
         value_name = "ratio"
         points = strength_sweep(dataset, cfg.sweep_kind, cfg.sweep_ratios, base, seeds=seeds)
     else:
-        if cfg.sweep_kind not in BIASED_KINDS:
-            raise ConfigError("[sweep] kind must be NodeDrop or AttrMask for pattern sweeps")
         value_name = "alpha"
         points = pattern_sweep(dataset, cfg.sweep_kind, cfg.sweep_alphas, base, ratio=cfg.sweep_ratio, seeds=seeds)
     _write_lines(os.path.join(outdir, "sweep.csv"), _sweep_lines(points, value_name))
@@ -344,10 +342,12 @@ def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int
     start = time.perf_counter()
     dataset = None if command == "grad-check" else _load_dataset(cfg)
     if command in LABELED_COMMANDS:
-        try:  # the probe always deals stratified folds
-            check_split(dataset.labels, cfg.folds, cfg.stratified or command == "probe")
+        try:
+            check_split(dataset.labels, cfg.folds, cfg.stratified, probe=command == "probe")
         except ValueError as err:
             raise ConfigError(f"{command} on {dataset.name}: {err}") from err
+    if command == "pattern-sweep" and cfg.sweep_kind not in BIASED_KINDS:
+        raise ConfigError("[sweep] kind must be NodeDrop or AttrMask for pattern sweeps")
     outdir = cfg.output or os.path.join("runs", command)
     os.makedirs(outdir, exist_ok=True)
     with atomic_open(os.path.join(outdir, "config.effective.ini")) as fh:

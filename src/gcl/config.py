@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import make_dataclass
 
-from .augment import KINDS, AugmentationPool, AugmentationSpec, default_pool
+from .augment import KINDS, MAX_ALPHA, AugmentationPool, AugmentationSpec, default_pool
 from .contrastive import PretrainConfig
 from .graphs import CATEGORIES
 from .model import EncoderConfig
@@ -73,6 +73,7 @@ _category = _rule(str.strip, lambda v: v in CATEGORIES, f"be one of {CATEGORIES}
 _kind = _rule(str.strip, lambda v: v in KINDS, f"be one of {KINDS}")
 _sweep_ratio = _rule(_float, lambda v: 0.0 <= v <= 0.5, "lie in [0, 0.5]")
 _aug_ratio = _rule(_float, lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+_alpha = _rule(_float, lambda v: abs(v) <= MAX_ALPHA, f"lie in [-{MAX_ALPHA:g}, {MAX_ALPHA:g}]")
 
 
 def _pair(raw: str) -> tuple[str, str]:
@@ -133,7 +134,7 @@ _TABLE = {
         "kinds": ("sweep_kinds", _list(_kind), "NodeDrop,EdgePerturb,AttrMask,Subgraph"),
         "kind": ("sweep_kind", _kind, "EdgePerturb"),
         "ratios": ("sweep_ratios", _list(_sweep_ratio), "0.05,0.1,0.2,0.3"),
-        "alphas": ("sweep_alphas", _list(_float), "-2,-1,0,1,2"),
+        "alphas": ("sweep_alphas", _list(_alpha), "-2,-1,0,1,2"),
         "pairs": ("sweep_pairs", _list(_pair), "AttrMask+AttrMask,AttrMask+NodeDrop"),
         "seeds": ("sweep_seeds", _list(_seed), ""),
         "ratio": ("sweep_ratio", _aug_ratio, "0.2"),

@@ -8,7 +8,9 @@ anchoring (average of i->j and j->i) behind the `symmetric` flag.
 
 `pretrain` draws a graph's two views from one Generator per graph and epoch,
 keyed by (seed, epoch, graph index), so they do not depend on batch size,
-batch order or how many cells run at once.
+batch order or how many cells run at once. It builds no Graph per view: each
+minibatch's graphs are packed once by `make_batch`, and `view_batch` cuts
+each side's views out of that pack from the draws alone.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentationError, AugmentationPool, AugmentationSpec, sample_view_pair
+from .augment import AugmentationError, AugmentationPool, AugmentationSpec, draw_view, sample_view_pair
 from .graphs import GraphDataset
-from .model import EncoderConfig, ModelParams, encode, init_params, make_batch, project
+from .model import EncoderConfig, ModelParams, encode, init_params, make_batch, project, view_batch
 from .tensor import Adam, Tensor, backward
 
 log = logging.getLogger(__name__)
@@ -147,27 +149,26 @@ def pretrain(
         total_pairs = 0
         for start in range(0, len(order), batch_size):
             batch_idx = order[start : start + batch_size]
-            views_i, views_j = [], []
+            graphs, draws = [], []
             for gi in batch_idx:
                 g = dataset[int(gi)]
                 rng = _view_rng(config.seed, epoch, int(gi))
                 try:
-                    vi, vj = sample_view_pair(config.pool_i, config.pool_j, g, rng)
+                    draws.append(sample_view_pair(config.pool_i, config.pool_j, g, rng, draw_view))
                 except AugmentationError as err:
                     log.warning("skipping graph %d in epoch %d: %s", gi, epoch, err)
                     continue
-                views_i.append(vi)
-                views_j.append(vj)
-            if len(views_i) < 2:
+                graphs.append(g)
+            if len(graphs) < 2:
                 continue
-            z_i = project(encode(make_batch(views_i), params), params)
-            z_j = project(encode(make_batch(views_j), params), params)
+            pack = make_batch(graphs)
+            z_i, z_j = (project(encode(view_batch(pack, side), params), params) for side in zip(*draws))
             loss = contrastive_loss(z_i, z_j, config)  # NaN/Inf raise in the tensor primitives
             optimizer.zero_grad()
             backward(loss)
             optimizer.step()
-            total_loss += float(loss.data) * len(views_i)
-            total_pairs += len(views_i)
+            total_loss += float(loss.data) * len(graphs)
+            total_pairs += len(graphs)
         if total_pairs == 0:
             raise ValueError("no trainable minibatch survived augmentation (dataset too degenerate)")
         epoch_losses.append(total_loss / total_pairs)

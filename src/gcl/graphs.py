@@ -120,16 +120,16 @@ def degrees(g: Graph) -> np.ndarray:
 
 
 def induced_subgraph(g: Graph, keep) -> Graph:
-    """Subgraph on the node set `keep`, reindexed densely in ascending original order."""
-    keep_arr = np.unique(np.asarray(keep if isinstance(keep, np.ndarray) else list(keep), dtype=np.int64))
-    if keep_arr.size == 0:
+    """Subgraph on the node set `keep` (ids, or a boolean mask over the nodes), reindexed in ascending order."""
+    keep = np.asarray(keep if isinstance(keep, np.ndarray) else list(keep))
+    if keep.dtype != bool:
+        if keep.size and (keep.min() < 0 or keep.max() >= g.num_nodes):
+            raise IndexError("keep set contains node indices outside the graph")
+        keep = np.isin(np.arange(g.num_nodes), keep)
+    if not keep.any():
         raise ValueError("induced_subgraph needs a non-empty node set")
-    if keep_arr[0] < 0 or keep_arr[-1] >= g.num_nodes:
-        raise IndexError("keep set contains node indices outside the graph")
-    new_index = -np.ones(g.num_nodes, dtype=np.int64)
-    new_index[keep_arr] = np.arange(keep_arr.size)
-    mask = (new_index[g.edges[:, 0]] >= 0) & (new_index[g.edges[:, 1]] >= 0)
-    return Graph(int(keep_arr.size), new_index[g.edges[mask]], g.node_features[keep_arr], g.label)
+    new_index = np.cumsum(keep) - 1
+    return Graph(int(new_index[-1]) + 1, new_index[g.edges[keep[g.edges].all(axis=1)]], g.node_features[keep], g.label)
 
 
 def permute_nodes(g: Graph, perm) -> Graph:

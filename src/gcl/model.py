@@ -2,15 +2,16 @@
 classifier head on top of the tensor engine.
 
 Graphs are batched by concatenating node features and edge lists with global
-node ids plus a node-to-graph segment vector. Message passing uses the batch's
-symmetric operator: S = D^-1/2 (A + I) D^-1/2 for GCN, A + (1 + eps) I for GIN.
-Both layers apply S in one tape op, `tensor.graph_conv` = ReLU(S h W + b), on
-the narrower side of W: (S h) W when h has fewer columns, else S (h W). GCN
-runs it with no bias; GIN runs it with its first Linear, then its second. The
-operator (edge coefficients, self weights and scatter keys) is built once per
-batch and shared by every layer and the backward pass. S is block-diagonal over
-the graphs, so batching a set of graphs is numerically equivalent to encoding
-them one by one.
+node ids plus a node-to-graph segment vector; `view_batch` cuts augmented views
+out of such a batch by masks alone. Message passing uses the batch's symmetric
+operator: S = D^-1/2 (A + I) D^-1/2 for GCN, A + (1 + eps) I for GIN. Both
+layers apply S in one tape op, `tensor.graph_conv` = ReLU(S h W + b), on the
+narrower side of W: (S h) W when h has fewer columns, else S (h W). GCN runs it
+with no bias; GIN runs it with its first Linear, then its second. The operator
+(edge coefficients, self weights and scatter keys) is built once per batch and
+shared by every layer and the backward pass. S is block-diagonal over the
+graphs, so batching a set of graphs is numerically equivalent to encoding them
+one by one.
 """
 
 from __future__ import annotations
@@ -79,27 +80,43 @@ def make_batch(graphs) -> GraphBatch:
     graphs = list(graphs)
     if not graphs:
         raise ValueError("cannot batch zero graphs")
-    feats, srcs, dsts, segs, counts = [], [], [], [], []
-    offset = 0
-    for i, g in enumerate(graphs):
-        if g.num_nodes == 0:
-            raise ValueError(f"graph {i} in batch is empty")
-        feats.append(g.node_features)
-        u = g.edges[:, 0] + offset
-        v = g.edges[:, 1] + offset
-        srcs.append(np.concatenate([u, v]))
-        dsts.append(np.concatenate([v, u]))
-        segs.append(np.full(g.num_nodes, i, dtype=np.int64))
-        counts.append(g.num_nodes)
-        offset += g.num_nodes
-    return GraphBatch(
-        features=np.vstack(feats).astype(np.float64),
-        src=np.concatenate(srcs),
-        dst=np.concatenate(dsts),
-        segments=np.concatenate(segs),
-        num_graphs=len(graphs),
-        node_counts=np.array(counts, dtype=np.int64),
-    )
+    counts = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    if not counts.all():
+        raise ValueError(f"graph {int(np.argmin(counts))} in batch is empty")
+    blocks = [(g.edges + start).T for g, start in zip(graphs, (np.cumsum(counts) - counts).tolist())]
+    src = np.concatenate([b.ravel() for b in blocks])  # each graph's edges u -> v, then v -> u
+    dst = np.concatenate([b[::-1].ravel() for b in blocks])
+    features = np.vstack([g.node_features for g in graphs])
+    return GraphBatch(features, src, dst, np.repeat(np.arange(len(graphs)), counts), len(graphs), counts)
+
+
+def view_batch(pack: GraphBatch, draws) -> GraphBatch:
+    """One view of every graph in `pack`, cut out of it by draws[k], graph k's `augment.ViewDraw`: node mask, then
+    edge mask, then cumsum relabel, with AttrMask rows zeroed and EdgePerturb graphs' packed edges replaced by their
+    drawn ones, appended as their own [u; v] block. A view that changes nothing is the pack itself. Kept nodes and
+    edges stay in pack order, so every node sums its incoming edges in the order make_batch of the built views would
+    and encode's outputs are bit-identical to it."""
+    starts = (np.cumsum(pack.node_counts) - pack.node_counts).tolist()
+    keep = np.ones(pack.features.shape[0], dtype=bool)
+    replaced = np.array([draw.edges is not None for draw in draws])
+    zeroed, blocks = [], []
+    for start, draw in zip(starts, draws):
+        if draw.keep is not None:
+            keep[start : start + draw.keep.size] = draw.keep
+        elif draw.zeroed is not None:
+            zeroed.append(start + draw.zeroed)
+        elif draw.edges is not None:
+            blocks.append(start + draw.edges.T)
+    if keep.all() and not zeroed and not blocks:
+        return pack
+    new_id = np.cumsum(keep) - 1
+    kept = keep[pack.src] & keep[pack.dst] & ~replaced[pack.segments[pack.src]]
+    features, segments = pack.features[keep], pack.segments[keep]
+    if zeroed:
+        features[new_id[np.concatenate(zeroed)]] = 0.0
+    src = np.concatenate([new_id[pack.src[kept]], *(new_id[b].ravel() for b in blocks)])
+    dst = np.concatenate([new_id[pack.dst[kept]], *(new_id[b[::-1]].ravel() for b in blocks)])
+    return GraphBatch(features, src, dst, segments, pack.num_graphs, np.bincount(segments, minlength=pack.num_graphs))
 
 
 def gcn_layer(h: Tensor, batch: GraphBatch, weight: Tensor) -> Tensor:

@@ -36,6 +36,8 @@ from .tensor import Adam, Tensor, _check_finite, backward, no_grad
 
 log = logging.getLogger(__name__)
 
+PROBE_INNER_FOLDS = 5  # the probe picks its L2 strength on fold 0 of these, an 80/20 split of the training fold
+
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -90,16 +92,21 @@ def stratified_folds(labels, folds: int, seed: int, stratified: bool = True) -> 
     return [np.array(sorted(b), dtype=np.int64) for b in buckets]
 
 
-def check_split(labels, folds: int, stratified: bool = True) -> None:
+def check_split(labels, folds: int, stratified: bool = True, probe: bool = False) -> None:
     """Raise ValueError unless every graph has one of >= 2 labels and dealing them into `folds` test folds leaves
-    none empty: a stratified deal fills fold f only if some class has more than f members, a plain one if n > f."""
+    none empty: a stratified deal fills fold f only if some class has more than f members, a plain one if n > f.
+    The probe deals stratified, and each training fold must hold enough graphs for its inner split."""
     classes, counts = np.unique(labels, return_counts=True)
     if classes.size < 2 or classes[0] < 0:
         raise ValueError("needs graph labels of >= 2 classes on every graph")
+    stratified = stratified or probe
     largest = counts.max() if stratified else len(labels)
     if folds > largest:
         what = "the largest class has" if stratified else "there are"
         raise ValueError(f"folds = {folds} would leave a test fold empty: {what} {largest} graphs")
+    train = len(labels) - ((counts + folds - 1) // folds).sum()  # fold 0 is the largest: ceil(count / folds) a class
+    if probe and train < PROBE_INNER_FOLDS:
+        raise ValueError(f"folds = {folds} leaves {train} graphs in a training fold, too few for its inner split")
 
 
 def _labeled_subset(labels, train_idx, label_rate, stratified, rng) -> np.ndarray:
@@ -275,7 +282,7 @@ def linear_probe(
     if grid.ndim != 1 or not grid.size or not (np.isfinite(grid) & (grid >= 0.0)).all():
         raise ValueError(f"l2_grid needs one or more finite strengths >= 0, got {l2_grid!r}")
     grid = np.sort(grid)
-    check_split(y, folds)
+    check_split(y, folds, probe=True)
     num_classes = int(y.max()) + 1
     test_folds = stratified_folds(y, folds, seed)
     all_idx = np.arange(y.size)
@@ -288,7 +295,7 @@ def linear_probe(
         sd = x[train_idx].std(axis=0)
         sd[sd == 0.0] = 1.0
         xs = (x - mu) / sd
-        inner_test = stratified_folds(y[train_idx], 5, seed + 31 * (f + 1))[0]
+        inner_test = stratified_folds(y[train_idx], PROBE_INNER_FOLDS, seed + 31 * (f + 1))[0]
         inner_train = np.setdiff1d(np.arange(train_idx.size), inner_test)
         xf, yf = xs[train_idx], y[train_idx]
         inner.append((xf[inner_train], yf[inner_train]))

@@ -364,6 +364,22 @@ class TestApplyAndPools:
         with pytest.raises(ValueError):
             AugmentationPool(specs=())
 
+    @pytest.mark.parametrize("alpha", [1e308, -1e308, 1.0000001e306, np.inf, -np.inf, np.nan])
+    def test_alpha_beyond_its_range_rejected(self, alpha):
+        # Above |alpha| = 1e306, alpha * log(deg + 1) overflows on ordinary degrees: the 8-node star's hub gives inf.
+        with pytest.raises(ValueError, match=r"alpha must lie in \[-1e\+306, 1e\+306\]"):
+            AugmentationSpec("NodeDrop", 0.2, alpha)
+
+    @pytest.mark.parametrize("alpha", [1e306, -1e306])
+    def test_alpha_at_its_range_ends_is_finite(self, alpha):
+        star = make_graph(8, [(0, i) for i in range(1, 8)])
+        spec = AugmentationSpec("AttrMask", 0.25, alpha)
+        probs = degree_biased_probs(star, spec.alpha)
+        assert np.isfinite(probs).all() and probs.sum() == pytest.approx(1.0)
+        assert probs[0] == pytest.approx(1.0 if alpha > 0 else 0.0)
+        masked = apply_augmentation(spec, star, rng(45)).node_features
+        assert masked[0].any() != (alpha > 0)
+
     @pytest.mark.parametrize("kind", ["Identity", "EdgePerturb", "Subgraph"])
     def test_alpha_rejected_where_unused(self, kind):
         with pytest.raises(ValueError, match="alpha"):

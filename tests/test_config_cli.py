@@ -492,3 +492,34 @@ class TestCLI:
     def test_extreme_degree_bias_pattern_sweep(self, tmp_path, corpus_dir):
         cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\nkind = NodeDrop\nalphas = 800,-800\n")
         assert main(["pattern-sweep", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command, section, lines", [
+        ("pretrain", "[pretrain]\n", "pool_i = NodeDrop:0.2:1e308\n"),
+        ("pattern-sweep", "[sweep]\n", "kind = NodeDrop\nalphas = 1,-1e308\n"),
+    ])
+    def test_alpha_beyond_its_range_is_exit_1_before_output(self, tmp_path, corpus_dir, capsys, command, section,
+                                                           lines):
+        cfg = tmp_path / "cfg.ini"
+        config_file(tmp_path, corpus_dir, extra="\n[sweep]\n", name=cfg.name)
+        cfg.write_text(cfg.read_text().replace(section, section + lines))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+        assert "must lie in [-1e+306, 1e+306]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pattern_sweep_of_an_unbiased_kind_is_exit_1_before_output(self, tmp_path, corpus_dir, capsys):
+        cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\nkind = Subgraph\nalphas = 0\n")
+        out = tmp_path / "out"
+        assert main(["pattern-sweep", "--config", cfg, "--output", str(out)]) == 1
+        assert "[sweep] kind must be NodeDrop or AttrMask" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_probe_training_folds_too_small_is_exit_1_before_output(self, tmp_path, capsys):
+        # 4 graphs a class in 2 folds leave 4 training graphs a fold, too few for the probe's 5 inner folds.
+        gcl.save_tudataset(gcl.make_corpus(8, families=("cycle", "star")), str(tmp_path / "data"), name="SYN")
+        cfg = config_file(tmp_path, str(tmp_path / "data"))
+        out = tmp_path / "out"
+        assert main(["probe", "--config", cfg, "--output", str(out)]) == 1
+        assert "folds = 2 leaves 4 graphs in a training fold, too few for its inner split" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["scratch", "--config", cfg, "--output", str(out)]) == 0  # finetune deals no inner split

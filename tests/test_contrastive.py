@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from gcl import contrastive
+from gcl import augment, contrastive
 from gcl.augment import AugmentationPool, AugmentationSpec, default_pool
 from gcl.contrastive import LossCurve, PretrainConfig, contrastive_loss, cosine_sim, nt_xent, pretrain
 from gcl.graphs import Graph, GraphDataset
@@ -139,25 +139,39 @@ class TestPretrain:
     def test_views_depend_only_on_seed_epoch_and_graph(self, monkeypatch):
         ds = self._dataset()
         index = {id(g): i for i, g in enumerate(ds.graphs)}
-        real = contrastive.sample_view_pair
+        real = contrastive.draw_view
 
         def views_by_graph(batch_size):
-            seen = {}  # graph index -> one view pair per epoch, in epoch order
+            seen = {}  # graph index -> every view drawn of it (two per epoch), in draw order
 
-            def record(pool_i, pool_j, g, rng):
-                pair = real(pool_i, pool_j, g, rng)
-                seen.setdefault(index[id(g)], []).append([(v.edges.tobytes(), v.node_features.tobytes()) for v in pair])
-                return pair
+            def record(spec, g, rng):
+                draw = real(spec, g, rng)
+                seen.setdefault(index[id(g)], []).append((spec, [None if a is None else a.tobytes() for a in draw]))
+                return draw
 
-            monkeypatch.setattr(contrastive, "sample_view_pair", record)
+            monkeypatch.setattr(contrastive, "draw_view", record)
             pool = default_pool("synthetic")
             pretrain(ds, PretrainConfig(batch_size=batch_size, epochs=2, pool_i=pool, pool_j=pool, seed=7),
                      EncoderConfig(hidden_dim=4))
             return seen
 
         by_four, by_eight = views_by_graph(4), views_by_graph(8)
-        assert sorted(by_four) == list(range(len(ds))) and all(len(v) == 2 for v in by_four.values())
+        assert sorted(by_four) == list(range(len(ds))) and all(len(v) == 4 for v in by_four.values())
         assert by_four == by_eight
+
+    def test_one_pack_per_step_and_no_graph_per_view(self, monkeypatch):
+        def unused(*args, **kwargs):
+            raise AssertionError("pretrain built a Graph for a view")
+
+        for name in ("Graph", "induced_subgraph", "node_drop", "edge_perturb", "attr_mask", "subgraph_rw"):
+            monkeypatch.setattr(augment, name, unused)
+        packs = []
+        monkeypatch.setattr(contrastive, "make_batch", lambda graphs: packs.append(len(graphs)) or make_batch(graphs))
+        pool = AugmentationPool(tuple(AugmentationSpec(k, 0.3) for k in ("NodeDrop", "EdgePerturb", "AttrMask",
+                                                                        "Subgraph", "Identity")))
+        pretrain(self._dataset(), PretrainConfig(batch_size=4, epochs=2, pool_i=pool, pool_j=pool, seed=3),
+                 EncoderConfig(hidden_dim=4))
+        assert packs == [4] * 6  # 12 graphs in batches of 4, 2 epochs
 
     def test_loss_descends_on_synthetic_corpus(self):
         ds = make_corpus(30, families=("cycle", "star", "clique"), seed=3)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcl import tensor as T
+from gcl.augment import AugmentationError, AugmentationPool, AugmentationSpec, ViewDraw, draw_view, sample_view_pair
 from gcl.contrastive import nt_xent
 from gcl.graphs import Graph, permute_nodes
 from gcl.model import (
@@ -19,6 +20,7 @@ from gcl.model import (
     make_batch,
     project,
     save_checkpoint,
+    view_batch,
 )
 from gcl.tensor import Tensor, finite_diff_check
 
@@ -209,6 +211,83 @@ class TestTapeOps:
         loss = nt_xent(z_i, z_j, 0.5)
         assert T.tape_size() == ops
         T.backward(loss)
+
+
+def view_test_graphs(rng):
+    """Random connected graphs, the same with isolated nodes appended, edgeless graphs and 1-node graphs."""
+    graphs = []
+    for _ in range(12):
+        g = random_connected_graph(rng, n_min=2, n_max=14, feature_dim=3)
+        graphs.append(g)
+        extra = int(rng.integers(1, 4))
+        feats = np.vstack([g.node_features, rng.normal(size=(extra, 3))])
+        graphs.append(Graph(g.num_nodes + extra, g.edges, feats))
+    for n in (1, 1, 2, 5):
+        graphs.append(Graph(n, np.zeros((0, 2), dtype=np.int64), rng.normal(size=(n, 3))))
+    return [graphs[i] for i in rng.permutation(len(graphs))]
+
+
+ALL_KINDS_POOL = AugmentationPool((
+    AugmentationSpec("Identity"),
+    AugmentationSpec("NodeDrop", 0.3, 1.5),
+    AugmentationSpec("EdgePerturb", 0.3),
+    AugmentationSpec("AttrMask", 0.4, -2.0),
+    AugmentationSpec("Subgraph", 0.3),
+))
+
+
+class TestViewBatch:
+    """view_batch cuts each side's views out of one pack from the draws alone; it must give the batch that
+    make_batch builds from sample_view_pair's Graphs, drawn from the same streams, exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cut_views_equal_built_views(self, seed):
+        rng = np.random.default_rng(seed)
+        graphs, draws, views = [], [], []
+        for k, g in enumerate(view_test_graphs(rng)):
+            try:
+                draws.append(sample_view_pair(ALL_KINDS_POOL, ALL_KINDS_POOL, g, np.random.default_rng((seed, k)),
+                                              draw_view))
+            except AugmentationError:
+                with pytest.raises(AugmentationError):  # the built views fail alike
+                    sample_view_pair(ALL_KINDS_POOL, ALL_KINDS_POOL, g, np.random.default_rng((seed, k)))
+                continue
+            graphs.append(g)
+            views.append(sample_view_pair(ALL_KINDS_POOL, ALL_KINDS_POOL, g, np.random.default_rng((seed, k))))
+        assert len(graphs) >= 20
+        pack = make_batch(graphs)
+        for side in (0, 1):
+            cut = view_batch(pack, [d[side] for d in draws])
+            built = make_batch([v[side] for v in views])
+            assert np.array_equal(cut.features, built.features)
+            assert np.array_equal(cut.segments, built.segments)
+            assert np.array_equal(cut.node_counts, built.node_counts) and cut.num_graphs == built.num_graphs
+            for arch in ("gcn", "gin"):
+                params = init_params(EncoderConfig(arch=arch, hidden_dim=8, gin_eps=0.25), 3, 0,
+                                     np.random.default_rng(seed))
+                encoder = [t for name, t in params.tensors.items() if name.startswith("enc")]
+                outs, grads = [], []
+                for batch in (cut, built):
+                    for t in encoder:
+                        t.grad = None
+                    outs.append(encode(batch, params))
+                    T.backward(T.sum(T.mul(outs[-1], Tensor(np.arange(outs[-1].data.size).reshape(-1, 8)))))
+                    grads.append([t.grad for t in encoder])
+                assert np.array_equal(outs[0].data, outs[1].data), arch
+                assert all(np.array_equal(a, b) for a, b in zip(*grads)), arch
+
+    def test_every_kind_is_drawn(self):
+        kinds = set()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for k, g in enumerate(view_test_graphs(rng)):
+                pair_rng = np.random.default_rng((seed, k))
+                kinds.update(ALL_KINDS_POOL.specs[int(pair_rng.integers(len(ALL_KINDS_POOL)))].kind for _ in range(2))
+        assert kinds == {spec.kind for spec in ALL_KINDS_POOL.specs}
+
+    def test_unchanged_views_are_the_pack(self):
+        pack = make_batch(view_test_graphs(np.random.default_rng(9)))
+        assert view_batch(pack, [ViewDraw()] * pack.num_graphs) is pack
 
 
 class TestGCNLayer:

@@ -15,6 +15,7 @@ from gcl.pipelines import (
     ExperimentBase,
     SplitSpec,
     aug_grid,
+    check_split,
     embed_dataset,
     finetune,
     linear_probe,
@@ -79,6 +80,19 @@ class TestFolds:
         labels = make_corpus(12, families=("cycle", "star"), seed=6).labels
         report = linear_probe(np.random.default_rng(1).normal(size=(12, 3)), labels, folds=2)
         assert len(report.fold_accuracies) == 2
+
+
+    def test_probe_training_folds_too_small_for_the_inner_split_rejected(self):
+        # 4 + 4 graphs in 2 folds leave 4 training graphs a fold, and the inner split deals them into 5 folds.
+        labels = make_corpus(8, families=("cycle", "star"), seed=6).labels
+        message = "folds = 2 leaves 4 graphs in a training fold, too few for its inner split"
+        with pytest.raises(ValueError, match=message):
+            linear_probe(np.random.default_rng(1).normal(size=(8, 3)), labels, folds=2)
+        with pytest.raises(ValueError, match=message):
+            check_split(labels, 2, stratified=False, probe=True)
+        check_split(labels, 2, stratified=False)  # finetune has no inner split
+        report = linear_probe(np.random.default_rng(1).normal(size=(11, 3)), np.arange(11) % 2, folds=2)
+        assert len(report.fold_accuracies) == 2  # fold 0 holds 3 + 3 of the 6 + 5 graphs, leaving 5 to train on
 
 
 class TestFinetune:
