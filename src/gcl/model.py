@@ -7,11 +7,13 @@ out of such a batch by masks alone. Message passing uses the batch's symmetric
 operator: S = D^-1/2 (A + I) D^-1/2 for GCN, A + (1 + eps) I for GIN. Both
 layers apply S in one tape op, `tensor.graph_conv` = ReLU(S h W + b), on the
 narrower side of W: (S h) W when h has fewer columns, else S (h W). GCN runs it
-with no bias; GIN runs it with its first Linear, then its second. The operator
-(edge coefficients, self weights and scatter keys) is built once per batch and
-shared by every layer and the backward pass. S is block-diagonal over the
-graphs, so batching a set of graphs is numerically equivalent to encoding them
-one by one.
+with no bias; GIN runs it with its first Linear, then its second. On a batch
+whose edge count times the layer's wider width reaches
+`tensor.FEATURE_MAJOR_MIN`, the op works feature-major and its (n, H) output is
+F-ordered. The operator (edge coefficients, self weights and, for row-major
+calls, scatter keys) is built once per batch and shared by every layer and the
+backward pass. S is block-diagonal over the graphs, so batching a set of
+graphs is numerically equivalent to encoding them one by one.
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ class GraphBatch:
             if arch == "gcn":
                 deg_hat = 1.0 + np.bincount(self.dst, minlength=n)
                 inv_sqrt = 1.0 / np.sqrt(deg_hat)
-                coef = (inv_sqrt[self.src] * inv_sqrt[self.dst])[:, None]
-                self.operators[arch, eps] = T.Propagation(self.src, self.dst, n, (1.0 / deg_hat)[:, None], coef)
+                coef = inv_sqrt[self.src] * inv_sqrt[self.dst]
+                self.operators[arch, eps] = T.Propagation(self.src, self.dst, n, 1.0 / deg_hat, coef)
             else:
                 self.operators[arch, eps] = T.Propagation(self.src, self.dst, n, 1.0 + eps)
         return self.operators[arch, eps]

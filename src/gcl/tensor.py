@@ -18,6 +18,9 @@ Graph ops take a batch's symmetric `Propagation` S. `graph_conv`, ReLU(S h W + b
 is the one op that applies S in a layer (all of GCN's, GIN's aggregation and first
 Linear). It scatters on the narrower side of W and keeps only h, W, b, its output
 and (narrow side) S h for the backward, so no n x H intermediate stays on the tape.
+Below FEATURE_MAJOR_MIN (edges x the op's wider width) it works on (n, F) tables
+with one flat-key bincount per scatter; from there on it works on their transposes,
+(F, n) tables with one bincount per feature row, and returns an F-ordered (n, H) view.
 """
 
 from __future__ import annotations
@@ -236,19 +239,26 @@ def segment_sum(a: Tensor, segment_ids, num_segments: int | None = None) -> Tens
         raise ValueError(f"segment_sum: segment ids must lie in [0, {n_seg}), got {ids.min()}..{ids.max()}")
     out = Tensor(_scatter_rows(a.data, ids, n_seg))
 
-    def backward_fn(g):
-        _accumulate(a, g[ids])
+    def backward_fn(g):  # in a's layout: a feature-major graph_conv output gets an F-ordered gradient
+        _accumulate(a, g[ids] if a.data.flags.c_contiguous else g.T[:, ids].T)
 
     return _record(out, (a,), backward_fn)
 
 
+# E x max(F, H) from which graph_conv runs feature-major, a little past where both layouts cost the same
+FEATURE_MAJOR_MIN = 1 << 18  # so that small (finetune, grid) batches keep the row-major arithmetic bit for bit
+
+
 class Propagation:
     """S = diag(self_weight) + sum over directed edges src -> dst of coef * e_dst e_src^T on n rows
-    (coef None: 1 on every edge). Listing every edge both ways with one coefficient makes S
-    symmetric. Scatter keys and a message buffer are kept per feature width."""
+    (self_weight a scalar or (n,); coef (E,), or None for 1 on every edge). Listing every edge both
+    ways with one coefficient makes S symmetric. Called on an (n, F) table it scatters by flat keys
+    and a message buffer kept per feature width; `feature_major` applies S to an (F, n) table and
+    keeps nothing."""
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, n: int, self_weight, coef: np.ndarray | None = None):
-        self.src, self.dst, self.n, self.self_weight, self.coef = src, dst, n, self_weight, coef
+        self.src, self.dst, self.n, self.coef = src, dst, n, coef
+        self.self_weight = np.asarray(self_weight, dtype=np.float64)
         self._keys, self._scratch = {}, {}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -260,35 +270,53 @@ class Propagation:
         # Every src id is < n, so "clip" changes none; the default "raise" would buffer `out`.
         messages = np.take(x, self.src, axis=0, out=scratch[: self.src.size], mode="clip")
         if self.coef is not None:
-            messages *= self.coef
+            messages *= self.coef[:, None]
         out = _scatter_rows(messages, self.dst, self.n, self._keys[f])
-        out += np.multiply(x, self.self_weight, out=scratch[: self.n])
+        out += np.multiply(x, self.self_weight.reshape(-1, 1), out=scratch[: self.n])
+        return out
+
+    def feature_major(self, xt: np.ndarray) -> np.ndarray:
+        """S xt.T as a C-ordered (F, n) table: per row one np.take into one E-length buffer and one
+        np.bincount over dst, so every cell adds its edges in edge order, as __call__ does."""
+        out = np.multiply(xt, self.self_weight, order="C")  # + commutes exactly: same sums as __call__
+        messages = np.empty(self.src.size)
+        for row, x in zip(out, xt):
+            np.take(x, self.src, out=messages, mode="clip")
+            if self.coef is not None:
+                messages *= self.coef
+            row += np.bincount(self.dst, messages, minlength=self.n)
         return out
 
 
 def graph_conv(h: Tensor, w: Tensor, op: Propagation, b: Tensor | None = None) -> Tensor:
     """ReLU(S h W + b), propagated on the narrower side: (S h) W when h has fewer columns than W
-    has, else S (h W). The backward masks g by out > 0; the closure keeps h, W, b, out and S h."""
+    has, else S (h W). The backward masks g by out > 0; the closure keeps h, W, b, out and S h.
+    From FEATURE_MAJOR_MIN on, every table is the transpose of a C-ordered (F, n) one: S runs by
+    `op.feature_major` and x W as (W.T x.T).T, so the output is an F-ordered (n, H) view."""
     hd, wd = h.data, w.data
     bias_ok = b is None or b.data.shape == wd.shape[1:]
     if hd.ndim != 2 or wd.ndim != 2 or hd.shape != (op.n, wd.shape[0]) or not bias_ok:
         raise ValueError(f"graph_conv needs ({op.n}, F) rows, (F, H) weights and no bias or an (H,) one, "
                          f"got {hd.shape}, {wd.shape} and {None if b is None else b.data.shape}")
-    sh = op(hd) if hd.shape[1] < wd.shape[1] else None
-    out = op(hd @ wd) if sh is None else sh @ wd
+    if op.src.size * max(wd.shape) < FEATURE_MAJOR_MIN:
+        prop, mm, order = op, np.matmul, "K"
+    else:
+        prop, mm, order = (lambda x: op.feature_major(x.T).T), (lambda x, m: (m.T @ x.T).T), "F"
+    sh = prop(hd) if hd.shape[1] < wd.shape[1] else None
+    out = prop(mm(hd, wd)) if sh is None else mm(sh, wd)
     if b is not None:
         out += b.data
     np.maximum(_check_finite(out, "graph_conv"), 0.0, out=out)  # the fresh product or scatter output becomes the ReLU's
 
     def backward_fn(g):
-        g = g * (out > 0.0)
-        sg = op(g) if sh is None else None  # S g on the wide side
+        g = np.multiply(g, out > 0.0, order=order)  # feature-major: g.T is C-ordered
+        sg = prop(g) if sh is None else None  # S g on the wide side
         if w.requires_grad:
             _accumulate(w, hd.T @ sg if sh is None else sh.T @ g)
         if b is not None and b.requires_grad:
             _accumulate(b, g.sum(axis=0))
         if h.requires_grad:
-            _accumulate(h, sg @ wd.T if sh is None else op(g @ wd.T))
+            _accumulate(h, mm(sg, wd.T) if sh is None else prop(mm(g, wd.T)))
 
     return _record(Tensor(out), (h, w) if b is None else (h, w, b), backward_fn)
 

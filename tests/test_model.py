@@ -64,11 +64,26 @@ class TestPropagate:
         rng = np.random.default_rng(20)
         graphs = case_graphs(rng, case)
         batch = make_batch(graphs)
-        for width in (1, 2, 7):  # every width gets its own scatter keys
+        op = batch.operator(arch, eps)
+        for width in (1, 2, 7):  # row-major keys and buffer per width; feature-major one row at a time
             x = rng.normal(size=(batch.features.shape[0], width))
-            out = batch.operator(arch, eps)(x)
-            assert out.dtype == np.float64
-            np.testing.assert_allclose(out, dense_operator(graphs, arch, eps) @ x, rtol=1e-12, atol=1e-12)
+            for out in (op(x), op.feature_major(x.T).T):
+                assert out.dtype == np.float64
+                np.testing.assert_allclose(out, dense_operator(graphs, arch, eps) @ x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("arch, eps", [("gcn", 0.0), ("gin", 0.37)])  # edge coefficients or none
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_identical_to_add_at(self, arch, eps, case):
+        rng = np.random.default_rng(21)
+        op = make_batch(case_graphs(rng, case)).operator(arch, eps)
+        coef = np.ones(op.src.size) if op.coef is None else op.coef
+        for width in (1, 2, 7, 32):
+            x = rng.normal(size=(op.n, width)) * 10.0 ** rng.integers(-8, 9, size=(op.n, 1))  # rounding shows
+            reference = np.zeros((op.n, width))
+            np.add.at(reference, op.dst, x[op.src] * coef[:, None])
+            reference += x * op.self_weight.reshape(-1, 1)
+            for out in (op(x), op.feature_major(x.T).T):
+                assert out.dtype == np.float64 and np.ascontiguousarray(out).tobytes() == reference.tobytes()
 
     def test_operator_built_once_per_batch(self):
         batch = make_batch([random_connected_graph(np.random.default_rng(22))])
@@ -128,6 +143,62 @@ class TestGcnConv:
         for got, want in zip((out.data, h.grad, w.grad), frozen_gcn_conv(x, w0, batch.operator("gcn"), probe.data)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("width", [2, 5, 7])
+    @pytest.mark.parametrize("case", CASES)
+    def test_feature_major_matches_chain_and_row_major(self, monkeypatch, width, case):
+        """With FEATURE_MAJOR_MIN at 0 every call runs feature-major, on the edgeless batch too."""
+        rng = np.random.default_rng(27)
+        threshold = T.FEATURE_MAJOR_MIN  # these batches lie far below it
+        graphs = case_graphs(rng, case)
+        batch = make_batch(graphs)
+        for arch, eps, bias in CONV_VARIANTS:
+            op, s = batch.operator(arch, eps), dense_operator(graphs, arch, eps)
+            x, w0, b0 = rng.normal(size=(op.n, width)), rng.normal(size=(width, 5)), rng.normal(size=5)
+            probe = Tensor(rng.normal(size=(op.n, 5)))
+
+            def run(layer, threshold):
+                monkeypatch.setattr(T, "FEATURE_MAJOR_MIN", threshold)
+                h, w = Tensor(x.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+                b = Tensor(b0.copy(), requires_grad=True) if bias else None
+                out = layer(h, w, b)
+                T.backward(T.sum(T.mul(out, probe)))
+                return (out.data, h.grad, w.grad) + ((b.grad,) if bias else ())
+
+            conv = lambda h, w, b: T.graph_conv(h, w, op, b)  # noqa: E731
+            feature_major, row_major = run(conv, 0), run(conv, threshold)
+            chain = run(lambda h, w, b: self.chain(h, w, s, b), 0)
+            assert feature_major[0].flags.f_contiguous and not row_major[0].flags.f_contiguous
+            assert (feature_major[0] == 0.0).any() and (feature_major[0] > 0.0).any()  # the ReLU mask matters
+            for got, *wants in zip(feature_major, row_major, chain):
+                for want in wants:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("arch, eps, bias", CONV_VARIANTS)
+    def test_feature_major_passes_finite_differences(self, monkeypatch, arch, eps, bias):
+        monkeypatch.setattr(T, "FEATURE_MAJOR_MIN", 0)
+        rng = np.random.default_rng(31)
+        op = make_batch(case_graphs(rng, "with-isolated-node")).operator(arch, eps)
+        for width in (2, 7):  # propagated before W's 5 columns, then after them
+            params = [Tensor(rng.normal(size=shape), requires_grad=True)
+                      for shape in [(op.n, width), (width, 5)] + [(5,)] * bias]
+            probe = Tensor(rng.normal(size=(op.n, 5)))
+
+            def f(ps):
+                return T.sum(T.mul(T.graph_conv(ps[0], ps[1], op, ps[2] if bias else None), probe))
+
+            result = finite_diff_check(f, params)
+            assert result["passed"], result
+
+    @pytest.mark.parametrize("f, h", [(2, 32), (32, 2)])
+    def test_layout_switches_at_the_threshold(self, f, h):
+        """A path of E / 2 edges: E x max(F, H) one edge pair below FEATURE_MAJOR_MIN stays row-major."""
+        for pairs, layout in ((T.FEATURE_MAJOR_MIN // 64 - 1, "C_CONTIGUOUS"), (T.FEATURE_MAJOR_MIN // 64, "F_CONTIGUOUS")):
+            path = Graph(pairs + 1, np.stack([np.arange(pairs), np.arange(1, pairs + 1)], axis=1), np.ones((pairs + 1, f)))
+            op = make_batch([path]).operator("gcn")
+            out = T.graph_conv(Tensor(path.node_features), Tensor(np.ones((f, h))), op).data
+            assert op.src.size * 32 - T.FEATURE_MAJOR_MIN in (-64, 0)
+            assert out.flags[layout] and out.flags.c_contiguous != out.flags.f_contiguous
+
     def test_constant_input_needs_no_gradient(self):
         rng = np.random.default_rng(28)
         batch = make_batch(case_graphs(rng, "connected"))
@@ -174,7 +245,7 @@ class TestGcnConv:
         table = batch.features.shape[0] * 32 * 8
         for arch, bound in (("gcn", 1.5 * 3), ("gin", 10.5)):
             params = init_params(EncoderConfig(arch=arch, num_layers=3, hidden_dim=32), 2, 0, rng)
-            with T.no_grad():  # builds the operator and its scatter keys for every width
+            with T.no_grad():  # builds the operator, and its row-major scatter keys if any
                 encode(batch, params)
             tracemalloc.start()
             try:
@@ -184,6 +255,27 @@ class TestGcnConv:
                 tracemalloc.stop()
             T.backward(T.sum(pooled))
             assert held < bound * table, f"{arch}: {held / table:.2f} n x 32 tables held before backward"
+
+    def test_feature_major_encode_holds_no_edge_by_width_table(self):
+        # The first encode of a batch above FEATURE_MAJOR_MIN, its operator built inside the measurement,
+        # holds its layer outputs (3 n x 32 tables with GCN, 9 with GIN) and less than half of one E x 32
+        # table besides; row-major scatter keys and message buffers for widths 2 and 32 held 2.1 to 2.2.
+        rng = np.random.default_rng(32)
+        graphs = [random_connected_graph(rng, n_min=380, n_max=420, extra_frac=1.0) for _ in range(10)]
+        for arch, outputs in (("gcn", 3), ("gin", 9)):
+            batch = make_batch(graphs)
+            n, e = batch.features.shape[0], batch.src.size
+            assert e * 32 >= T.FEATURE_MAJOR_MIN and e > 3 * n
+            params = init_params(EncoderConfig(arch=arch, num_layers=3, hidden_dim=32), 2, 0, rng)
+            tracemalloc.start()
+            try:
+                pooled = encode(batch, params)
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            T.backward(T.sum(pooled))
+            extra = (held - outputs * n * 32 * 8) / (e * 32 * 8)
+            assert extra < 0.5, f"{arch}: {extra:.2f} E x 32 tables held besides the layer outputs"
 
 
 class TestTapeOps:
