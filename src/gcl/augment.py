@@ -254,6 +254,11 @@ def sample_view_pair(
     return view(spec_i, g, rng), view(spec_j, g, rng)
 
 
+def single_pool(kind: str, ratio: float = DEFAULT_RATIO, alpha: float = 0.0) -> AugmentationPool:
+    """The pool of one spec: every view it gives is `kind` at this ratio and bias."""
+    return AugmentationPool(specs=(AugmentationSpec(kind, ratio, alpha),))
+
+
 def default_pool(category: str, ratio: float = DEFAULT_RATIO) -> AugmentationPool:
     """Per-category default augmentation pool at uniform degree bias.
 

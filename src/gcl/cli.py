@@ -19,8 +19,6 @@ import time
 from datetime import datetime, timezone
 from functools import partial
 
-import numpy as np
-
 try:
     import resource
 except ImportError:  # not POSIX: no rusage, and no fork for cell workers either
@@ -32,16 +30,19 @@ from .config import ConfigError, RunConfig, default_config, parse_config
 from .contrastive import pretrain
 from .gradcheck import run_gradient_checks
 from .graphs import atomic_open, load_tudataset
-from .model import init_params, load_checkpoint, save_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .pipelines import (
     ExperimentBase,
     aug_grid,
+    check_pairs,
     check_split,
+    check_sweep_values,
     embed_dataset,
     finetune,
     linear_probe,
     loss_curve_compare,
     pattern_sweep,
+    scratch_params,
     strength_sweep,
     train_from_scratch,
 )
@@ -154,8 +155,7 @@ def _load_checkpoint_for(dataset, checkpoint):
 def _params_from_checkpoint_or_random(cfg, dataset, checkpoint):
     if checkpoint:
         return _load_checkpoint_for(dataset, checkpoint)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 24)))
-    return init_params(cfg.encoder, dataset.feature_dim, dataset.num_classes, rng)
+    return scratch_params(dataset, cfg.seed, cfg.encoder)
 
 
 def _cmd_pretrain(cfg, dataset, outdir, runlog, checkpoint):
@@ -326,6 +326,9 @@ _DATA_COMMANDS = {
 }
 COMMANDS = (*_DATA_COMMANDS, "grad-check")
 CHECKPOINT_COMMANDS = ("finetune", "embed", "probe")
+# command -> the [sweep] list it runs over and the pipelines check that list must pass
+SWEEP_LISTS = {"strength-sweep": ("ratios", check_sweep_values), "pattern-sweep": ("alphas", check_sweep_values),
+               "loss-compare": ("pairs", check_pairs)}
 LABELED_COMMANDS = ("finetune", "scratch", "probe", "aug-grid", "strength-sweep", "pattern-sweep")
 
 
@@ -339,6 +342,12 @@ def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int
         raise ConfigError("finetune needs --checkpoint (use the scratch command for no pretraining)")
     if cfg.workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
         raise ConfigError(f"workers = {cfg.workers} needs forked worker processes, which this platform lacks")
+    if command in SWEEP_LISTS:
+        key, check = SWEEP_LISTS[command]
+        try:
+            check(getattr(cfg, f"sweep_{key}"))
+        except ValueError as err:
+            raise ConfigError(f"[sweep] {key}: {err}") from None
     start = time.perf_counter()
     dataset = None if command == "grad-check" else _load_dataset(cfg)
     if command in LABELED_COMMANDS:

@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import make_dataclass
 
-from .augment import KINDS, MAX_ALPHA, AugmentationPool, AugmentationSpec, default_pool
+from .augment import DEFAULT_RATIO, KINDS, MAX_ALPHA, AugmentationPool, AugmentationSpec, default_pool
 from .contrastive import PretrainConfig
 from .graphs import CATEGORIES
 from .model import EncoderConfig
@@ -137,7 +137,7 @@ _TABLE = {
         "alphas": ("sweep_alphas", _list(_alpha), "-2,-1,0,1,2"),
         "pairs": ("sweep_pairs", _list(_pair), "AttrMask+AttrMask,AttrMask+NodeDrop"),
         "seeds": ("sweep_seeds", _list(_seed), ""),
-        "ratio": ("sweep_ratio", _aug_ratio, "0.2"),
+        "ratio": ("sweep_ratio", _aug_ratio, str(DEFAULT_RATIO)),
     },
 }
 
@@ -196,10 +196,8 @@ def parse_pool_spec(text: str) -> AugmentationPool:
             raise ConfigError(f"bad pool entry {item!r}: too many ':' fields")
         if parts[0] == "Identity" and len(parts) > 1:  # it would run at no strength whatever the fields say
             raise ConfigError(f"bad pool entry {item!r}: Identity takes no ratio or alpha")
-        try:
-            ratio = _float(parts[1]) if len(parts) > 1 else 0.2
-            alpha = _float(parts[2]) if len(parts) > 2 else 0.0
-            specs.append(AugmentationSpec(kind=parts[0], ratio=ratio, alpha=alpha))
+        try:  # the fields left out take AugmentationSpec's defaults
+            specs.append(AugmentationSpec(parts[0], *map(_float, parts[1:])))
         except ValueError as err:
             raise ConfigError(f"bad pool entry {item!r}: {err}") from None
     if not specs:

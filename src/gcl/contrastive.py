@@ -16,12 +16,12 @@ each side's views out of that pack from the draws alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentationError, AugmentationPool, AugmentationSpec, draw_view, sample_view_pair
+from .augment import AugmentationError, AugmentationPool, draw_view, sample_view_pair, single_pool
 from .graphs import GraphDataset
 from .model import EncoderConfig, ModelParams, encode, init_params, make_batch, project, view_batch
 from .tensor import Adam, Tensor, backward
@@ -31,18 +31,14 @@ log = logging.getLogger(__name__)
 LOSS_VARIANTS = ("exclusive", "inclusive")
 
 
-def _identity_pool() -> AugmentationPool:
-    return AugmentationPool(specs=(AugmentationSpec(kind="Identity"),))
-
-
 @dataclass(frozen=True)
 class PretrainConfig:
     batch_size: int = 128
     temperature: float = 0.5
     epochs: int = 20
     learning_rate: float = 0.001
-    pool_i: AugmentationPool = field(default_factory=_identity_pool)
-    pool_j: AugmentationPool = field(default_factory=_identity_pool)
+    pool_i: AugmentationPool = single_pool("Identity")  # frozen, so one instance serves every config
+    pool_j: AugmentationPool = single_pool("Identity")
     seed: int = 0
     loss_variant: str = "exclusive"
     symmetric: bool = False
@@ -101,16 +97,16 @@ def nt_xent(z_i: Tensor, z_j: Tensor, temperature: float, variant: str = "exclus
     if z_i.data.shape != z_j.data.shape:
         raise ValueError(f"shape mismatch: {z_i.data.shape} vs {z_j.data.shape}")
     sim = T.matmul(T.row_l2_normalize(z_i), T.transpose(T.row_l2_normalize(z_j)))
-    sim = T.mul_scalar(sim, 1.0 / temperature)
+    sim = T.mul(sim, Tensor(1.0 / temperature))
     return T.cross_entropy(sim, np.arange(n), exclude_target=variant == "exclusive")
 
 
 def contrastive_loss(z_i: Tensor, z_j: Tensor, config: PretrainConfig) -> Tensor:
-    if not config.symmetric:
-        return nt_xent(z_i, z_j, config.temperature, config.loss_variant)
     forward = nt_xent(z_i, z_j, config.temperature, config.loss_variant)
+    if not config.symmetric:
+        return forward
     reverse = nt_xent(z_j, z_i, config.temperature, config.loss_variant)
-    return T.mul_scalar(T.add(forward, reverse), 0.5)
+    return T.mul(T.add(forward, reverse), Tensor(0.5))
 
 
 def _view_rng(seed: int, epoch: int, graph_index: int) -> np.random.Generator:

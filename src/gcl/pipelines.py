@@ -21,12 +21,13 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .augment import BIASED_KINDS, DEFAULT_RATIO, AugmentationPool, AugmentationSpec, _round_half_up
+from .augment import BIASED_KINDS, DEFAULT_RATIO, _round_half_up, single_pool
 from .contrastive import LossCurve, PretrainConfig, pretrain
 from .graphs import GraphDataset
 from .model import (
     EncoderConfig,
     ModelParams,
+    accuracy,
     classify,
     encode,
     init_params,
@@ -143,15 +144,13 @@ def _train_supervised(params: ModelParams, dataset, train_idx, epochs, lr, batch
 
 
 def _eval_accuracy(params: ModelParams, dataset, idx, chunk_size: int = 256) -> float:
-    labels = dataset.labels
-    correct = 0
+    """Accuracy on the graphs `idx`, classified `chunk_size` at a time (a product's last bits depend on its rows)."""
+    logits = []
     with no_grad():
         for start in range(0, idx.size, chunk_size):
-            part = idx[start : start + chunk_size]
-            batch = make_batch([dataset[int(i)] for i in part])
-            logits = classify(encode(batch, params), params)
-            correct += int((logits.data.argmax(axis=1) == labels[part]).sum())
-    return correct / idx.size
+            batch = make_batch([dataset[int(i)] for i in idx[start : start + chunk_size]])
+            logits.append(classify(encode(batch, params), params).data)
+    return accuracy(np.vstack(logits), dataset.labels[idx])
 
 
 def finetune(
@@ -203,11 +202,15 @@ def train_from_scratch(
     encoder_config: EncoderConfig | None = None,
     batch_size: int = 32,
 ) -> EvalReport:
-    """The no-pretraining baseline: finetune from a random encoder."""
-    encoder_config = encoder_config or EncoderConfig()
-    init_rng = np.random.default_rng(np.random.SeedSequence((split.seed, 24)))
-    params = init_params(encoder_config, dataset.feature_dim, dataset.num_classes, init_rng)
+    """The no-pretraining baseline: finetune from the random encoder `scratch_params` draws."""
+    params = scratch_params(dataset, split.seed, encoder_config)
     return finetune(params, dataset, split, epochs, lr, batch_size, protocol="scratch")
+
+
+def scratch_params(dataset: GraphDataset, seed: int, encoder_config: EncoderConfig | None = None) -> ModelParams:
+    """The random encoder a run without pretraining starts from, drawn from stream (seed, 24)."""
+    init_rng = np.random.default_rng(np.random.SeedSequence((seed, 24)))
+    return init_params(encoder_config or EncoderConfig(), dataset.feature_dim, dataset.num_classes, init_rng)
 
 
 def embed_dataset(params: ModelParams, dataset: GraphDataset, chunk_size: int = 256) -> np.ndarray:
@@ -328,15 +331,11 @@ class ExperimentBase:
     finetune_batch: int = 32
     workers: int = 1
 
-    def scratch(self, dataset) -> EvalReport:
-        """The train-from-scratch baseline under this recipe's finetune settings."""
-        return train_from_scratch(
-            dataset, self.split, self.finetune_epochs, self.finetune_lr, self.encoder, self.finetune_batch
-        )
 
-
-def _single_pool(kind: str, ratio: float, alpha: float = 0.0) -> AugmentationPool:
-    return AugmentationPool(specs=(AugmentationSpec(kind=kind, ratio=ratio, alpha=alpha),))
+def _scratch(dataset, base: ExperimentBase) -> EvalReport:
+    """One baseline job: `train_from_scratch` under the recipe's settings, looked up by name when the job runs."""
+    return train_from_scratch(dataset, base.split, base.finetune_epochs, base.finetune_lr, base.encoder,
+                              base.finetune_batch)
 
 
 def _cell(dataset, base: ExperimentBase, pool_i, pool_j) -> EvalReport:
@@ -379,18 +378,19 @@ def aug_grid(dataset: GraphDataset, kinds, base: ExperimentBase, ratio: float = 
     The kind list is deduplicated and completed with Identity, so the
     Identity x Identity cell is the no-augmentation contrastive baseline;
     every cell's gain is its finetuned accuracy minus one shared
-    train-from-scratch baseline run."""
+    train-from-scratch baseline run, the first job of the cells' pool."""
     labels = list(dict.fromkeys(kinds))
     if "Identity" not in labels:
         labels.append("Identity")
-    scratch = base.scratch(dataset)
     cells = [(a, b) for a in range(len(labels)) for b in range(a, len(labels))]
-    jobs = [partial(_cell, dataset, base, _single_pool(labels[a], ratio), _single_pool(labels[b], ratio))
-            for a, b in cells]
+    jobs = [partial(_scratch, dataset, base)]
+    jobs += [partial(_cell, dataset, base, single_pool(labels[a], ratio), single_pool(labels[b], ratio))
+             for a, b in cells]
+    scratch, *results = _run_cells(jobs, base.workers)
     k = len(labels)
     acc = np.zeros((k, k))
     reports = {}
-    for (a, b), report in zip(cells, _run_cells(jobs, base.workers)):
+    for (a, b), report in zip(cells, results):
         acc[a, b] = acc[b, a] = report.mean
         reports[(labels[a], labels[b])] = report
     return GridResult(tuple(labels), acc, acc - scratch.mean, scratch, reports)
@@ -409,11 +409,22 @@ class SweepPoint:
         object.__setattr__(self, "std", float(np.std(self.accuracies, ddof=1)) if len(self.accuracies) > 1 else 0.0)
 
 
+def check_sweep_values(values, least: int = 1) -> None:
+    """Raise ValueError unless there are `least` or more values to run over."""
+    if len(values) < least:
+        raise ValueError(f"needs {least} or more values, got {len(values)}")
+
+
+check_pairs = partial(check_sweep_values, least=2)  # a loss comparison needs two pairs to compare
+
+
 def _sweep(dataset, base: ExperimentBase, points, pool_for_point, seeds):
+    check_sweep_values(points)
     bases = [replace(base, pretrain=replace(base.pretrain, seed=s), split=replace(base.split, seed=s)) for s in seeds]
-    scratch = np.array([b.scratch(dataset).mean for b in bases])
-    jobs = [partial(_cell, dataset, b, _single_pool("Identity", 0.0), pool_for_point(v)) for v in points for b in bases]
-    accs = np.reshape([report.mean for report in _run_cells(jobs, base.workers)], (len(points), len(bases)))
+    jobs = [partial(_scratch, dataset, b) for b in bases]
+    jobs += [partial(_cell, dataset, b, single_pool("Identity", 0.0), pool_for_point(v)) for v in points for b in bases]
+    means = np.array([report.mean for report in _run_cells(jobs, base.workers)])  # the scratch runs first
+    scratch, accs = means[: len(bases)], means[len(bases) :].reshape(len(points), len(bases))
     gains = (accs - scratch).tolist()  # each seed's cell against the scratch run under the same seed
     return [SweepPoint(float(v), tuple(a), tuple(g)) for v, a, g in zip(points, accs.tolist(), gains)]
 
@@ -425,7 +436,7 @@ def strength_sweep(
     at each ratio, finetuned and compared against same-seed scratch runs."""
     if any(not 0.0 <= r <= 0.5 for r in ratios):
         raise ValueError("sweep ratios must lie in [0, 0.5]")
-    return _sweep(dataset, base, list(ratios), lambda r: _single_pool(kind, r), seeds)
+    return _sweep(dataset, base, list(ratios), lambda r: single_pool(kind, r), seeds)
 
 
 def pattern_sweep(
@@ -441,7 +452,7 @@ def pattern_sweep(
     if kind not in BIASED_KINDS:
         raise ValueError("pattern sweeps support NodeDrop and AttrMask only")
     return _sweep(
-        dataset, base, [float(a) for a in alphas], lambda a: _single_pool(kind, ratio, alpha=a), seeds
+        dataset, base, [float(a) for a in alphas], lambda a: single_pool(kind, ratio, alpha=a), seeds
     )
 
 
@@ -451,8 +462,7 @@ def loss_curve_compare(
     """Pretrain once per augmentation pair with identical seeds and optimizer
     settings; returns (pair name, loss curve) in input order."""
     pairs = list(pairs)
-    if len(pairs) < 2:
-        raise ValueError("need at least two pairs to compare")
-    jobs = [partial(_curve, dataset, base, _single_pool(a, ratio), _single_pool(b, ratio)) for a, b in pairs]
+    check_pairs(pairs)
+    jobs = [partial(_curve, dataset, base, single_pool(a, ratio), single_pool(b, ratio)) for a, b in pairs]
     curves = _run_cells(jobs, base.workers)
     return [(f"{a}+{b}", curve) for (a, b), curve in zip(pairs, curves)]

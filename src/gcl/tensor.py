@@ -144,16 +144,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward_fn)
 
 
-def mul_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(_check_finite(a.data * c, "mul_scalar"))
-
-    def backward_fn(g):
-        _accumulate(a, g * c)
-
-    return _record(out, (a,), backward_fn)
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
 

@@ -507,11 +507,17 @@ class TestCLI:
         assert "must lie in [-1e+306, 1e+306]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_pattern_sweep_of_an_unbiased_kind_is_exit_1_before_output(self, tmp_path, corpus_dir, capsys):
-        cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\nkind = Subgraph\nalphas = 0\n")
+    @pytest.mark.parametrize("command, lines, message", [
+        ("pattern-sweep", "kind = Subgraph\nalphas = 0\n", "[sweep] kind must be NodeDrop or AttrMask"),
+        ("strength-sweep", "ratios =\n", "[sweep] ratios: needs 1 or more values, got 0"),
+        ("pattern-sweep", "kind = NodeDrop\nalphas =\n", "[sweep] alphas: needs 1 or more values, got 0"),
+        ("loss-compare", "pairs = NodeDrop+NodeDrop\n", "[sweep] pairs: needs 2 or more values, got 1"),
+    ])
+    def test_bad_sweep_input_is_exit_1_before_output(self, tmp_path, corpus_dir, capsys, command, lines, message):
+        cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\n" + lines)
         out = tmp_path / "out"
-        assert main(["pattern-sweep", "--config", cfg, "--output", str(out)]) == 1
-        assert "[sweep] kind must be NodeDrop or AttrMask" in capsys.readouterr().err
+        assert main([command, "--config", cfg, "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_probe_training_folds_too_small_is_exit_1_before_output(self, tmp_path, capsys):

@@ -121,7 +121,8 @@ class TestFinetune:
             with pytest.raises(ValueError, match="recorded on the tape"):
                 pretrain(ds, base.pretrain, base.encoder)
             with pytest.raises(ValueError, match="recorded on the tape"):
-                base.scratch(ds)
+                train_from_scratch(ds, base.split, base.finetune_epochs, base.finetune_lr, base.encoder,
+                                   base.finetune_batch)
 
     def test_fixed_seed_reproducible(self):
         ds = make_corpus(20, families=("cycle", "star"), seed=4)
@@ -298,7 +299,7 @@ def _tape_fit_logreg(x, y, num_classes, l2, steps=300, lr=0.1):
     optimizer = T.Adam([w, b], lr=lr)
     for _ in range(steps):
         logits = T.add(T.matmul(xt, w), b)
-        penalty = T.mul_scalar(T.sum(T.mul(w, w)), l2 / (2.0 * n))
+        penalty = T.mul(T.sum(T.mul(w, w)), T.Tensor(l2 / (2.0 * n)))
         loss = T.add(T.cross_entropy(logits, y), penalty)
         optimizer.zero_grad()
         T.backward(loss)
@@ -419,6 +420,36 @@ class TestGridAndSweeps:
         points = strength_sweep(ds, "NodeDrop", [0.2], small_base(), seeds=(0, 1))
         assert len(points[0].accuracies) == 2
         assert points[0].std >= 0.0
+
+    def test_sweeps_reject_an_empty_list_before_any_run(self, monkeypatch):
+        def run(*args, **kwargs):
+            raise AssertionError("a baseline ran")
+
+        monkeypatch.setattr(pipelines, "train_from_scratch", run)
+        ds = make_corpus(8, families=("cycle", "star"), seed=13)
+        with pytest.raises(ValueError, match="needs 1 or more values, got 0"):
+            strength_sweep(ds, "AttrMask", [], small_base())
+        with pytest.raises(ValueError, match="needs 1 or more values, got 0"):
+            pattern_sweep(ds, "AttrMask", [], small_base())
+
+    def test_workers_do_not_change_sweep_points(self):
+        ds = make_corpus(12, families=("cycle", "star"), seed=16)
+        serial = strength_sweep(ds, "NodeDrop", [0.1, 0.3], small_base(), seeds=(0, 1))
+        parallel_base = dataclasses.replace(small_base(), workers=3)
+        parallel = strength_sweep(ds, "NodeDrop", [0.1, 0.3], parallel_base, seeds=(0, 1))
+        assert not multiprocessing.active_children()
+        assert parallel == serial
+
+    def test_one_cell_grid_runs_its_baseline_in_a_worker(self, monkeypatch):
+        def scratch(*args):  # inherited by the forked workers
+            return EvalReport("scratch", (0.5,), 0.0, {"pid": os.getpid()})
+
+        monkeypatch.setattr(pipelines, "train_from_scratch", scratch)
+        ds = make_corpus(12, families=("cycle", "star"), seed=17)
+        result = aug_grid(ds, [], dataclasses.replace(small_base(seed=6), workers=2))
+        assert list(result.reports) == [("Identity", "Identity")]
+        assert result.scratch.config["pid"] != os.getpid()
+        assert not multiprocessing.active_children()
 
     def test_workers_do_not_change_results(self):
         ds = make_corpus(12, families=("cycle", "star"), seed=17)

@@ -40,7 +40,7 @@ class TestPrimitives:
 
     def test_non_finite_detected(self):
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            T.mul_scalar(t([1e308]), 10.0)
+            T.mul(t([1e308]), T.Tensor(10.0))
 
     def test_row_l2_normalize_zero_rows(self):
         a = t([[3.0, 4.0], [0.0, 0.0]])
@@ -101,7 +101,7 @@ class TestBackward:
     def test_no_grad_blocks_recording(self):
         x = t([1.0])
         with no_grad():
-            y = T.mul_scalar(x, 2.0)
+            y = T.mul(x, T.Tensor(2.0))
         assert T.tape_size() == 0
         assert not y.requires_grad
 
@@ -134,7 +134,7 @@ class TestFiniteDiff:
         def f(ps):
             h = T.relu(T.matmul(x, ps[0]))
             z = T.row_l2_normalize(T.matmul(h, ps[1]))
-            return T.cross_entropy(T.mul_scalar(z, 2.0), [0, 1, 1, 0, 1])
+            return T.cross_entropy(T.mul(z, T.Tensor(2.0)), [0, 1, 1, 0, 1])
 
         assert finite_diff_check(f, [p1, p2])["passed"]
 
@@ -211,9 +211,9 @@ class TestGradientOwnership:
 
     @pytest.mark.parametrize("build", [
         lambda ps, probe: T.add(ps[0], ps[0]),  # one leaf feeding both inputs of add
-        lambda ps, probe: T.add(T.mul_scalar(ps[0], 2.0), T.add(ps[0], ps[0])),
+        lambda ps, probe: T.add(T.mul(ps[0], T.Tensor(2.0)), T.add(ps[0], ps[0])),
         lambda ps, probe: (lambda y: T.add(y, y))(T.mul(ps[0], ps[1])),  # one intermediate, both inputs
-        lambda ps, probe: T.add(ps[0], T.mul_scalar(T.transpose(T.transpose(ps[0])), 3.0)),
+        lambda ps, probe: T.add(ps[0], T.mul(T.transpose(T.transpose(ps[0])), T.Tensor(3.0))),
         lambda ps, probe: T.mul(ps[0], ps[2]),  # a one-column operand
         lambda ps, probe: T.mul(ps[2], T.add(ps[0], ps[2])),
     ], ids=["add-x-x", "add-reused", "add-y-y", "transpose", "mul-column", "add-column"])
