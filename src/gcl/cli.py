@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import partial
 
@@ -27,7 +28,7 @@ except ImportError:  # not POSIX: no rusage, and no fork for cell workers either
 from . import __version__
 from .augment import BIASED_KINDS
 from .config import ConfigError, RunConfig, default_config, parse_config
-from .contrastive import pretrain
+from .contrastive import check_pretrain_dataset, pretrain
 from .gradcheck import run_gradient_checks
 from .graphs import atomic_open, load_tudataset
 from .model import load_checkpoint, save_checkpoint
@@ -87,27 +88,23 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _write_lines(path, lines):
+def _write_csv(path, header, rows):
+    """The one metric CSV format: a header row, then comma-joined cells, floats (numpy's too) as
+    `repr(float)` and every other cell, such as an integer index or label, as `str`."""
+    lines = [header, *([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)]
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(",".join(line) + "\n" for line in lines))
 
 
 def _report_dict(report):
-    return {
-        "protocol": report.protocol,
-        "fold_accuracies": list(report.fold_accuracies),
-        "mean": report.mean,
-        "std": report.std,
-        "config": report.config,
-    }
+    """An EvalReport as metrics.json holds it: every field but the wall clock, which stays in run.jsonl."""
+    return {k: v for k, v in asdict(report).items() if k != "wall_clock"}
 
 
 def _write_report(outdir, report):
     _write_json(os.path.join(outdir, "metrics.json"), _report_dict(report))
-    lines = ["fold,accuracy"]
-    lines += [f"{i},{_fmt(a)}" for i, a in enumerate(report.fold_accuracies)]
-    lines += [f"mean,{_fmt(report.mean)}", f"std,{_fmt(report.std)}"]
-    _write_lines(outdir + "/folds.csv", lines)
+    rows = [*enumerate(report.fold_accuracies), ("mean", report.mean), ("std", report.std)]
+    _write_csv(os.path.join(outdir, "folds.csv"), ["fold", "accuracy"], rows)
 
 
 def _load_dataset(cfg: RunConfig):
@@ -162,8 +159,7 @@ def _cmd_pretrain(cfg, dataset, outdir, runlog, checkpoint):
     config = cfg.pretrain_config(dataset.category)
     params, curve = pretrain(dataset, config, cfg.encoder)
     save_checkpoint(params, os.path.join(outdir, "checkpoint.json"))
-    lines = ["epoch,mean_loss"] + [f"{i + 1},{_fmt(v)}" for i, v in enumerate(curve.losses)]
-    _write_lines(os.path.join(outdir, "loss_curve.csv"), lines)
+    _write_csv(os.path.join(outdir, "loss_curve.csv"), ["epoch", "mean_loss"], enumerate(curve.losses, 1))
     _write_json(
         os.path.join(outdir, "metrics.json"),
         {
@@ -198,12 +194,9 @@ def _cmd_scratch(cfg, dataset, outdir, runlog, checkpoint):
 def _cmd_embed(cfg, dataset, outdir, runlog, checkpoint):
     params = _params_from_checkpoint_or_random(cfg, dataset, checkpoint)
     emb = embed_dataset(params, dataset)
-    header = "graph,label," + ",".join(f"e{j}" for j in range(emb.shape[1]))
-    labels = dataset.labels
-    lines = [header]
-    for i in range(emb.shape[0]):
-        lines.append(f"{i},{labels[i]}," + ",".join(_fmt(v) for v in emb[i]))
-    _write_lines(os.path.join(outdir, "embeddings.csv"), lines)
+    header = ["graph", "label", *(f"e{j}" for j in range(emb.shape[1]))]
+    rows = [(i, label, *row) for i, (label, row) in enumerate(zip(dataset.labels, emb))]
+    _write_csv(os.path.join(outdir, "embeddings.csv"), header, rows)
     runlog.event("embedded", rows=int(emb.shape[0]), dim=int(emb.shape[1]))
     return 0
 
@@ -221,10 +214,8 @@ def _cmd_aug_grid(cfg, dataset, outdir, runlog, checkpoint):
     base = _experiment_base(cfg, dataset.category)
     result = aug_grid(dataset, cfg.sweep_kinds, base, ratio=cfg.sweep_ratio)
     for fname, matrix in (("grid_gain.csv", result.gains), ("grid_accuracy.csv", result.accuracies)):
-        lines = ["kind," + ",".join(result.kinds)]
-        for i, kind in enumerate(result.kinds):
-            lines.append(kind + "," + ",".join(_fmt(v) for v in matrix[i]))
-        _write_lines(os.path.join(outdir, fname), lines)
+        rows = [(kind, *row) for kind, row in zip(result.kinds, matrix)]
+        _write_csv(os.path.join(outdir, fname), ["kind", *result.kinds], rows)
     _write_json(
         os.path.join(outdir, "metrics.json"),
         {
@@ -237,18 +228,6 @@ def _cmd_aug_grid(cfg, dataset, outdir, runlog, checkpoint):
     )
     runlog.event("grid_done", cells=len(result.reports), **_pool_fields(cfg))
     return 0
-
-
-def _sweep_lines(points, value_name):
-    seeds = len(points[0].accuracies)
-    header = [value_name, "acc_mean", "acc_std"]
-    header += [f"acc_seed{i}" for i in range(seeds)] + [f"gain_seed{i}" for i in range(seeds)]
-    lines = [",".join(header)]
-    for pt in points:
-        row = [_fmt(pt.value), _fmt(pt.mean), _fmt(pt.std)]
-        row += [_fmt(a) for a in pt.accuracies] + [_fmt(g) for g in pt.gains]
-        lines.append(",".join(row))
-    return lines
 
 
 def _sweep_json(points, value_name):
@@ -274,7 +253,9 @@ def _cmd_sweep(protocol, cfg, dataset, outdir, runlog, checkpoint):
     else:
         value_name = "alpha"
         points = pattern_sweep(dataset, cfg.sweep_kind, cfg.sweep_alphas, base, ratio=cfg.sweep_ratio, seeds=seeds)
-    _write_lines(os.path.join(outdir, "sweep.csv"), _sweep_lines(points, value_name))
+    header = [value_name, "acc_mean", "acc_std", *(f"{c}_seed{i}" for c in ("acc", "gain") for i in range(len(seeds)))]
+    rows = [(pt.value, pt.mean, pt.std, *pt.accuracies, *pt.gains) for pt in points]
+    _write_csv(os.path.join(outdir, "sweep.csv"), header, rows)
     _write_json(
         os.path.join(outdir, "metrics.json"),
         {"protocol": protocol, "kind": cfg.sweep_kind, "points": _sweep_json(points, value_name)},
@@ -286,16 +267,14 @@ def _cmd_sweep(protocol, cfg, dataset, outdir, runlog, checkpoint):
 def _cmd_loss_compare(cfg, dataset, outdir, runlog, checkpoint):
     base = _experiment_base(cfg, dataset.category)
     curves = loss_curve_compare(dataset, cfg.sweep_pairs, base, ratio=cfg.sweep_ratio)
-    epochs = len(curves[0][1].losses)
-    lines = ["epoch," + ",".join(name for name, _ in curves)]
-    for e in range(epochs):
-        lines.append(f"{e + 1}," + ",".join(_fmt(curve.losses[e]) for _, curve in curves))
-    _write_lines(os.path.join(outdir, "curves.csv"), lines)
+    names = [name for name, _ in curves]
+    rows = enumerate(zip(*(curve.losses for _, curve in curves)), 1)
+    _write_csv(os.path.join(outdir, "curves.csv"), ["epoch", *names], [(e, *losses) for e, losses in rows])
     _write_json(
         os.path.join(outdir, "metrics.json"),
         {
             "protocol": "loss_compare",
-            "pairs": [name for name, _ in curves],
+            "pairs": names,
             "final_losses": {name: curve.losses[-1] for name, curve in curves},
         },
     )
@@ -330,6 +309,7 @@ CHECKPOINT_COMMANDS = ("finetune", "embed", "probe")
 SWEEP_LISTS = {"strength-sweep": ("ratios", check_sweep_values), "pattern-sweep": ("alphas", check_sweep_values),
                "loss-compare": ("pairs", check_pairs)}
 LABELED_COMMANDS = ("finetune", "scratch", "probe", "aug-grid", "strength-sweep", "pattern-sweep")
+PRETRAIN_COMMANDS = ("pretrain", "aug-grid", "strength-sweep", "pattern-sweep", "loss-compare")
 
 
 def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int:
@@ -350,11 +330,13 @@ def dispatch(command: str, cfg: RunConfig, checkpoint: str | None = None) -> int
             raise ConfigError(f"[sweep] {key}: {err}") from None
     start = time.perf_counter()
     dataset = None if command == "grad-check" else _load_dataset(cfg)
-    if command in LABELED_COMMANDS:
-        try:
+    try:
+        if command in LABELED_COMMANDS:
             check_split(dataset.labels, cfg.folds, cfg.stratified, probe=command == "probe")
-        except ValueError as err:
-            raise ConfigError(f"{command} on {dataset.name}: {err}") from err
+        if command in PRETRAIN_COMMANDS:
+            check_pretrain_dataset(dataset)
+    except ValueError as err:
+        raise ConfigError(f"{command} on {dataset.name}: {err}") from err
     if command == "pattern-sweep" and cfg.sweep_kind not in BIASED_KINDS:
         raise ConfigError("[sweep] kind must be NodeDrop or AttrMask for pattern sweeps")
     outdir = cfg.output or os.path.join("runs", command)

@@ -56,6 +56,12 @@ class PretrainConfig:
             raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
 
 
+def check_pretrain_dataset(dataset) -> None:
+    """Raise ValueError unless there are >= 2 graphs to pretrain on: like batch_size, the loss needs a negative."""
+    if len(dataset) < 2:
+        raise ValueError(f"pretraining needs >= 2 graphs (the loss needs a negative), got {len(dataset)}")
+
+
 @dataclass(frozen=True)
 class LossCurve:
     """Per-epoch mean contrastive loss of one pretraining run."""
@@ -129,8 +135,7 @@ def pretrain(
     which an augmentation is inapplicable are skipped with a warning; a
     non-finite loss aborts the run with FloatingPointError.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot pretrain on an empty dataset")
+    check_pretrain_dataset(dataset)
     encoder_config = encoder_config or EncoderConfig()
     if params is None:
         init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2)))

@@ -2,7 +2,8 @@
 
 Graphs are undirected, attributed, and immutable: each edge is stored once as
 an (u, v) pair with u < v, node features are a dense float64 matrix, and the
-optional label is a 0-based class index. Adjacency is materialized on demand.
+optional label is a 0-based class index. No adjacency is stored: degrees,
+Subgraph's walk and the encoders' batch operators all work from the edge list.
 """
 
 from __future__ import annotations

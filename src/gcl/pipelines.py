@@ -38,6 +38,7 @@ from .tensor import Adam, Tensor, _check_finite, backward, no_grad
 log = logging.getLogger(__name__)
 
 PROBE_INNER_FOLDS = 5  # the probe picks its L2 strength on fold 0 of these, an 80/20 split of the training fold
+EVAL_CHUNK = 256  # graphs a no-grad forward in embed_dataset and _eval_accuracy (GEMM's last bits depend on the rows)
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,12 @@ class SplitSpec:
             raise ValueError("folds must be >= 2")
 
 
+def _set_mean_std(report, values) -> None:
+    """Store on a frozen report the mean and the ddof-1 std of `values` (0 for a single value)."""
+    object.__setattr__(report, "mean", float(np.mean(values)))
+    object.__setattr__(report, "std", float(np.std(values, ddof=1)) if len(values) > 1 else 0.0)
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """Per-fold accuracies with derived mean/std and the config that produced them."""
@@ -70,8 +77,7 @@ class EvalReport:
     def __post_init__(self):
         accs = tuple(float(a) for a in self.fold_accuracies)
         object.__setattr__(self, "fold_accuracies", accs)
-        object.__setattr__(self, "mean", float(np.mean(accs)))
-        object.__setattr__(self, "std", float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0)
+        _set_mean_std(self, accs)
 
 
 def stratified_folds(labels, folds: int, seed: int, stratified: bool = True) -> list[np.ndarray]:
@@ -143,12 +149,12 @@ def _train_supervised(params: ModelParams, dataset, train_idx, epochs, lr, batch
             optimizer.step()
 
 
-def _eval_accuracy(params: ModelParams, dataset, idx, chunk_size: int = 256) -> float:
-    """Accuracy on the graphs `idx`, classified `chunk_size` at a time (a product's last bits depend on its rows)."""
+def _eval_accuracy(params: ModelParams, dataset, idx) -> float:
+    """Accuracy on the graphs `idx`, classified EVAL_CHUNK at a time."""
     logits = []
     with no_grad():
-        for start in range(0, idx.size, chunk_size):
-            batch = make_batch([dataset[int(i)] for i in idx[start : start + chunk_size]])
+        for start in range(0, idx.size, EVAL_CHUNK):
+            batch = make_batch([dataset[int(i)] for i in idx[start : start + EVAL_CHUNK]])
             logits.append(classify(encode(batch, params), params).data)
     return accuracy(np.vstack(logits), dataset.labels[idx])
 
@@ -213,12 +219,12 @@ def scratch_params(dataset: GraphDataset, seed: int, encoder_config: EncoderConf
     return init_params(encoder_config or EncoderConfig(), dataset.feature_dim, dataset.num_classes, init_rng)
 
 
-def embed_dataset(params: ModelParams, dataset: GraphDataset, chunk_size: int = 256) -> np.ndarray:
-    """Encoder output per graph (no projection head, no gradient recording)."""
+def embed_dataset(params: ModelParams, dataset: GraphDataset) -> np.ndarray:
+    """Encoder output per graph (no projection head, no gradient recording), EVAL_CHUNK graphs a forward."""
     rows = []
     with no_grad():
-        for start in range(0, len(dataset), chunk_size):
-            batch = make_batch(list(dataset.graphs[start : start + chunk_size]))
+        for start in range(0, len(dataset), EVAL_CHUNK):
+            batch = make_batch(list(dataset.graphs[start : start + EVAL_CHUNK]))
             rows.append(encode(batch, params).data)
     return np.vstack(rows)
 
@@ -405,8 +411,7 @@ class SweepPoint:
     std: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", float(np.mean(self.accuracies)))
-        object.__setattr__(self, "std", float(np.std(self.accuracies, ddof=1)) if len(self.accuracies) > 1 else 0.0)
+        _set_mean_std(self, self.accuracies)
 
 
 def check_sweep_values(values, least: int = 1) -> None:

@@ -520,6 +520,15 @@ class TestCLI:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "loss-compare"])
+    def test_one_graph_is_exit_1_before_output(self, tmp_path, capsys, command):
+        gcl.save_tudataset(gcl.make_corpus(1, families=("cycle",)), str(tmp_path / "data"), name="SYN")
+        cfg = config_file(tmp_path, str(tmp_path / "data"))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 1
+        assert "on SYN: pretraining needs >= 2 graphs (the loss needs a negative), got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_probe_training_folds_too_small_is_exit_1_before_output(self, tmp_path, capsys):
         # 4 graphs a class in 2 folds leave 4 training graphs a fold, too few for the probe's 5 inner folds.
         gcl.save_tudataset(gcl.make_corpus(8, families=("cycle", "star")), str(tmp_path / "data"), name="SYN")
@@ -529,3 +538,76 @@ class TestCLI:
         assert "folds = 2 leaves 4 graphs in a training fold, too few for its inner split" in capsys.readouterr().err
         assert not out.exists()
         assert main(["scratch", "--config", cfg, "--output", str(out)]) == 0  # finetune deals no inner split
+
+
+def read_csv(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return header, rows
+
+
+def assert_floats(cells, values):
+    """Each cell reads back with float() as exactly its in-memory value (a cell written as np.float64(x) raises)."""
+    assert len(cells) == len(values)
+    for cell, value in zip(cells, values):
+        assert float(cell) == value, (cell, value)
+
+
+class TestMetricCSVs:
+    """The metric CSV format: exact headers, integer cells as plain integers, and float cells that read back as
+    the values the pipeline computed, which a wrapper around the CLI's pipeline call records."""
+
+    def run(self, tmp_path, corpus_dir, monkeypatch, command, call, sweep=""):
+        results = []
+        original = getattr(gcl.cli, call)
+        monkeypatch.setattr(gcl.cli, call, lambda *a, **k: results.append(original(*a, **k)) or results[-1])
+        cfg = config_file(tmp_path, corpus_dir, extra="\n[sweep]\nseeds = 0,1\n" + sweep)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 0
+        (result,) = results
+        return result, out
+
+    def test_folds(self, tmp_path, corpus_dir, monkeypatch):
+        report, out = self.run(tmp_path, corpus_dir, monkeypatch, "scratch", "train_from_scratch")
+        header, rows = read_csv(out / "folds.csv")
+        assert header == ["fold", "accuracy"]
+        assert [row[0] for row in rows] == ["0", "1", "mean", "std"]
+        assert_floats([row[1] for row in rows], [*report.fold_accuracies, report.mean, report.std])
+
+    def test_loss_curve(self, tmp_path, corpus_dir, monkeypatch):
+        (_, curve), out = self.run(tmp_path, corpus_dir, monkeypatch, "pretrain", "pretrain")
+        header, rows = read_csv(out / "loss_curve.csv")
+        assert header == ["epoch", "mean_loss"]
+        assert [row[0] for row in rows] == ["1", "2"]
+        assert_floats([row[1] for row in rows], curve.losses)
+
+    def test_embeddings(self, tmp_path, corpus_dir, monkeypatch):
+        emb, out = self.run(tmp_path, corpus_dir, monkeypatch, "embed", "embed_dataset")
+        labels = gcl.load_tudataset(corpus_dir, "SYN").labels
+        header, rows = read_csv(out / "embeddings.csv")
+        assert header == ["graph", "label"] + [f"e{j}" for j in range(8)]
+        assert [row[:2] for row in rows] == [[str(i), str(int(y))] for i, y in enumerate(labels)]
+        assert_floats([cell for row in rows for cell in row[2:]], emb.ravel().tolist())
+
+    def test_grid(self, tmp_path, corpus_dir, monkeypatch):
+        result, out = self.run(tmp_path, corpus_dir, monkeypatch, "aug-grid", "aug_grid", "kinds = NodeDrop\n")
+        for name, matrix in (("grid_gain.csv", result.gains), ("grid_accuracy.csv", result.accuracies)):
+            header, rows = read_csv(out / name)
+            assert header == ["kind", "NodeDrop", "Identity"]
+            assert [row[0] for row in rows] == ["NodeDrop", "Identity"]
+            assert_floats([cell for row in rows for cell in row[1:]], matrix.ravel().tolist())
+
+    def test_sweep(self, tmp_path, corpus_dir, monkeypatch):
+        points, out = self.run(tmp_path, corpus_dir, monkeypatch, "strength-sweep", "strength_sweep",
+                               "kind = NodeDrop\nratios = 0.1,0.3\n")
+        header, rows = read_csv(out / "sweep.csv")
+        assert header == ["ratio", "acc_mean", "acc_std", "acc_seed0", "acc_seed1", "gain_seed0", "gain_seed1"]
+        assert_floats([cell for row in rows for cell in row],
+                      [v for pt in points for v in (pt.value, pt.mean, pt.std, *pt.accuracies, *pt.gains)])
+
+    def test_curves(self, tmp_path, corpus_dir, monkeypatch):
+        curves, out = self.run(tmp_path, corpus_dir, monkeypatch, "loss-compare", "loss_curve_compare")
+        header, rows = read_csv(out / "curves.csv")
+        assert header == ["epoch", "AttrMask+AttrMask", "AttrMask+NodeDrop"]
+        assert [row[0] for row in rows] == ["1", "2"]
+        assert_floats([cell for row in rows for cell in row[1:]],
+                      [loss for losses in zip(*(curve.losses for _, curve in curves)) for loss in losses])

@@ -201,6 +201,12 @@ class TestPretrain:
         with pytest.raises(ValueError):
             pretrain(ds, cfg, EncoderConfig(hidden_dim=4))
 
+    def test_one_graph_is_rejected_before_training(self, monkeypatch):
+        monkeypatch.setattr(contrastive, "init_params", lambda *a: pytest.fail("pretrain started"))
+        ds = make_corpus(1, families=("cycle",), seed=1)
+        with pytest.raises(ValueError, match="pretraining needs >= 2 graphs"):
+            pretrain(ds, PretrainConfig(batch_size=2, epochs=1), EncoderConfig(hidden_dim=4))
+
     def test_non_finite_loss_aborts(self):
         cfg = PretrainConfig(batch_size=6, epochs=1, temperature=1e-320, seed=1)
         with pytest.raises(FloatingPointError):

@@ -180,11 +180,14 @@ class TestEmbed:
         emb = embed_dataset(params, dup)
         assert np.array_equal(emb[0], emb[1]) and np.array_equal(emb[1], emb[2])
 
-    def test_row_count_and_dim(self):
+    def test_row_count_and_dim(self, monkeypatch):
         ds = make_corpus(9, families=("cycle", "star"), seed=7)
         params = init_params(EncoderConfig(hidden_dim=8), ds.feature_dim, 2, np.random.default_rng(4))
-        emb = embed_dataset(params, ds, chunk_size=4)
+        whole = embed_dataset(params, ds)
+        monkeypatch.setattr(pipelines, "EVAL_CHUNK", 4)
+        emb = embed_dataset(params, ds)
         assert emb.shape == (9, 8)
+        np.testing.assert_allclose(emb, whole, atol=1e-12)
 
     def test_dataset_permutation_permutes_rows(self):
         ds = make_corpus(8, families=("cycle", "star"), seed=8)

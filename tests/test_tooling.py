@@ -3,13 +3,17 @@ outside the package: a change to gcl that breaks the traced benchmark run
 fails here."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 
 import gcl
 
-SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+REPO = os.path.join(os.path.dirname(__file__), os.pardir)
+SPANS_PATH = os.path.join(REPO, "perfbench", "spans.py")
 
 
 def load_spans():
@@ -70,3 +74,15 @@ def test_tracer_counts_tape_ops_of_pretrain_steps():
             tracer.uninstall()
         assert tracer.counts["pretrain_steps"] == 2
         assert tracer.counts["tape_ops"] == ops_per_step * tracer.counts["pretrain_steps"], arch
+
+
+def test_untraced_benchmark_run_passes_its_checks():
+    # The untraced run calls gcl the way the benchmark does; its last line is the JSON summary.
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "aug-grid", "--seed", "1", "--seconds", "0.5",
+         "--trace", "0"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    summary = json.loads(run.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
